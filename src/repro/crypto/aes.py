@@ -63,6 +63,14 @@ def _gmul(a: int, b: int) -> int:
     return result
 
 
+# MixColumns' xtime multiples as lookup tables, built once at import
+_MUL2 = tuple(_gmul(a, 2) for a in range(256))
+_MUL3 = tuple(_gmul(a, 3) for a in range(256))
+# ShiftRows as a permutation of the column-major state (byte r + 4c): row r
+# rotates left by r, so output byte r + 4c comes from column (c + r) % 4
+_SHIFT_ROWS = tuple(r + 4 * ((c + r) % 4) for c in range(4) for r in range(4))
+
+
 class AES128:
     """AES-128 supporting single-block encrypt/decrypt and CTR-style OTPs."""
 
@@ -94,30 +102,12 @@ class AES128:
             state[i] = box[state[i]]
 
     @staticmethod
-    def _shift_rows(state: list) -> None:
-        # state is column-major: byte r + 4c
-        for row in range(1, 4):
-            cols = [state[row + 4 * c] for c in range(4)]
-            cols = cols[row:] + cols[:row]
-            for c in range(4):
-                state[row + 4 * c] = cols[c]
-
-    @staticmethod
     def _inv_shift_rows(state: list) -> None:
         for row in range(1, 4):
             cols = [state[row + 4 * c] for c in range(4)]
             cols = cols[-row:] + cols[:-row]
             for c in range(4):
                 state[row + 4 * c] = cols[c]
-
-    @staticmethod
-    def _mix_columns(state: list) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = _gmul(col[0], 2) ^ _gmul(col[1], 3) ^ col[2] ^ col[3]
-            state[4 * c + 1] = col[0] ^ _gmul(col[1], 2) ^ _gmul(col[2], 3) ^ col[3]
-            state[4 * c + 2] = col[0] ^ col[1] ^ _gmul(col[2], 2) ^ _gmul(col[3], 3)
-            state[4 * c + 3] = _gmul(col[0], 3) ^ col[1] ^ col[2] ^ _gmul(col[3], 2)
 
     @staticmethod
     def _inv_mix_columns(state: list) -> None:
@@ -139,17 +129,24 @@ class AES128:
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_BYTES:
             raise ValueError("AES block must be 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[0])
+        sbox, mul2, mul3, shift = _SBOX, _MUL2, _MUL3, _SHIFT_ROWS
+        round_keys = self._round_keys
+        state = [b ^ k for b, k in zip(block, round_keys[0])]
         for rnd in range(1, _ROUNDS):
-            self._sub_bytes(state, _SBOX)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[rnd])
-        self._sub_bytes(state, _SBOX)
-        self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[_ROUNDS])
-        return bytes(state)
+            # SubBytes + ShiftRows, then MixColumns + AddRoundKey per column
+            t = [sbox[state[i]] for i in shift]
+            rk = round_keys[rnd]
+            state = []
+            for c in (0, 4, 8, 12):
+                a0, a1, a2, a3 = t[c], t[c + 1], t[c + 2], t[c + 3]
+                state += (
+                    mul2[a0] ^ mul3[a1] ^ a2 ^ a3 ^ rk[c],
+                    a0 ^ mul2[a1] ^ mul3[a2] ^ a3 ^ rk[c + 1],
+                    a0 ^ a1 ^ mul2[a2] ^ mul3[a3] ^ rk[c + 2],
+                    mul3[a0] ^ a1 ^ a2 ^ mul2[a3] ^ rk[c + 3],
+                )
+        rk = round_keys[_ROUNDS]
+        return bytes([sbox[state[i]] ^ k for i, k in zip(shift, rk)])
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_BYTES:

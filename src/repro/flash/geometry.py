@@ -31,7 +31,12 @@ class PhysicalAddress(NamedTuple):
 
 @dataclass(frozen=True)
 class FlashGeometry:
-    """Static shape of the flash array."""
+    """Static shape of the flash array.
+
+    ``plane_stride`` (the total plane count) is the PPA distance between
+    consecutive pages of one block; it is derived, like the aggregate sizes,
+    in ``__post_init__``.
+    """
 
     channels: int = 8
     chips_per_channel: int = 4
@@ -65,6 +70,22 @@ class FlashGeometry:
         object.__setattr__(self, "_total_planes", planes)
         object.__setattr__(self, "_total_blocks", blocks)
         object.__setattr__(self, "_total_pages", pages)
+        # the low "slot" digits of a PPA (ppa % plane_stride) name its plane;
+        # map slots to global plane indices and back once, so block and
+        # plane lookups never decompose a whole address
+        slot_plane = [0] * planes
+        for slot in range(planes):
+            rest, channel = divmod(slot, self.channels)
+            rest, chip = divmod(rest, self.chips_per_channel)
+            plane, die = divmod(rest, self.dies_per_chip)
+            die_index = (channel * self.chips_per_channel + chip) * self.dies_per_chip + die
+            slot_plane[slot] = die_index * self.planes_per_die + plane
+        plane_slot = [0] * planes
+        for slot, plane in enumerate(slot_plane):
+            plane_slot[plane] = slot
+        object.__setattr__(self, "plane_stride", planes)
+        object.__setattr__(self, "_slot_plane", tuple(slot_plane))
+        object.__setattr__(self, "_plane_slot", tuple(plane_slot))
 
     # -- aggregate sizes (instance attrs precomputed in __post_init__;
     # deliberately not annotated so the dataclass does not treat them as
@@ -184,13 +205,33 @@ class FlashGeometry:
 
     def plane_index(self, ppa: int) -> int:
         """Global plane index for ``ppa``."""
-        addr = self.decompose(ppa)
-        return self.die_index(ppa) * self.planes_per_die + addr.plane
+        if not 0 <= ppa < self._total_pages:
+            raise ValueError(f"PPA {ppa} out of range [0, {self._total_pages})")
+        return self._slot_plane[ppa % self.plane_stride]
 
     def block_of(self, ppa: int) -> int:
         """Global block index containing ``ppa``."""
-        addr = self.decompose(ppa)
-        return self.plane_index(ppa) * self.blocks_per_plane + addr.block
+        if not 0 <= ppa < self._total_pages:
+            raise ValueError(f"PPA {ppa} out of range [0, {self._total_pages})")
+        row, slot = divmod(ppa, self.plane_stride)
+        return self._slot_plane[slot] * self.blocks_per_plane + row // self.pages_per_block
+
+    def page_in_block(self, ppa: int) -> int:
+        """Page index of ``ppa`` within its block (its program order)."""
+        if not 0 <= ppa < self._total_pages:
+            raise ValueError(f"PPA {ppa} out of range [0, {self._total_pages})")
+        return ppa // self.plane_stride % self.pages_per_block
+
+    def block_base(self, block: int) -> int:
+        """First PPA (page 0) of a global block.
+
+        Page ``p`` of the block is ``block_base(block) + p * plane_stride``:
+        consecutive pages of a block are strided by the plane interleave.
+        """
+        if not 0 <= block < self._total_blocks:
+            raise ValueError(f"block {block} out of range [0, {self._total_blocks})")
+        plane, block_in_plane = divmod(block, self.blocks_per_plane)
+        return block_in_plane * self.pages_per_block * self.plane_stride + self._plane_slot[plane]
 
 
 def small_geometry(

@@ -1,14 +1,16 @@
 """Fleet crash-point oracle: kill the fleet mid-rebuild, restore, finish.
 
-Extends the `repro.recovery` differential oracle to the fleet fabric: one
-golden uninterrupted replication-on run fixes the target fingerprint, then
-for every crash point the sweep runs a fresh fleet to that request index,
-checkpoints it through disk, discards the live runner, restores from the
-file, finishes, and demands the byte-identical fingerprint. With a rebuild
-batch of 1 the repair queue stays populated for many requests after a
-device kill, so a healthy sweep necessarily lands crash points *inside* a
-rebuild — the report counts them (``mid_rebuild``) so the test can assert
-the interesting case was actually exercised.
+Extends the `repro.recovery` differential oracle to the fleet fabric with
+the same one-pass sweep (:func:`repro.recovery.oracle.sweep_crash_points`):
+one golden uninterrupted replication-on run fixes the target fingerprint,
+one cutter fleet checkpoints itself through disk at every crash point and
+must itself finish on the golden fingerprint, and then every saved file is
+restored into a fresh fleet, finished, and must reproduce the fingerprint
+byte for byte. With a rebuild batch of 1 the repair queue stays populated
+for many requests after a device kill, so a healthy sweep necessarily lands
+crash points *inside* a rebuild — the report counts them (``mid_rebuild``,
+noted on the cutter at the cut) so the test can assert the interesting case
+was actually exercised.
 
 The corruption probe (one flipped byte must be rejected before any state
 reaches the simulator) runs once per sweep, same as the chaos oracle.
@@ -16,9 +18,6 @@ reaches the simulator) runs once per sweep, same as the chaos oracle.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -28,12 +27,7 @@ from repro.fleet.checkpoint import (
     snapshot_fleet_runner,
 )
 from repro.fleet.lab import FleetRunner
-from repro.recovery.oracle import crash_points
-from repro.recovery.snapshot import (
-    SnapshotCorruptError,
-    load_snapshot,
-    save_snapshot,
-)
+from repro.recovery.oracle import SweepVerdicts, crash_points, sweep_crash_points
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,7 @@ class FleetOraclePoint:
 
 
 @dataclass
-class FleetOracleReport:
+class FleetOracleReport(SweepVerdicts):
     """Outcome of a fleet crash-point sweep."""
 
     requests: int
@@ -57,22 +51,11 @@ class FleetOracleReport:
     replication: int
     points: List[FleetOraclePoint] = field(default_factory=list)
     corruption_rejected: bool = False
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for p in self.points if p.matched)
-
-    @property
-    def failed(self) -> int:
-        return len(self.points) - self.passed
+    cutter_diverged: List[int] = field(default_factory=list)
 
     @property
     def mid_rebuild_points(self) -> int:
         return sum(1 for p in self.points if p.mid_rebuild)
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failed == 0 and self.corruption_rejected and bool(self.points)
 
     def format(self) -> str:
         seeds = sorted({p.seed for p in self.points})
@@ -82,41 +65,8 @@ class FleetOracleReport:
             f" {self.devices} devices, replication={self.replication}",
             f"  byte-identical  : {self.passed}/{len(self.points)}",
             f"  mid-rebuild cuts: {self.mid_rebuild_points}",
-            "  corrupt snapshot: "
-            + (
-                "rejected (content fingerprint)"
-                if self.corruption_rejected
-                else "NOT REJECTED"
-            ),
         ]
-        for point in self.points:
-            if not point.matched:
-                lines.append(
-                    f"  MISMATCH seed={point.seed} crash_op={point.crash_op}: "
-                    f"{point.resumed_digest[:16]} != {point.golden_digest[:16]}"
-                )
-        return "\n".join(lines)
-
-
-def _digest(fingerprint: str) -> str:
-    return hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
-
-
-def _probe_corruption(path: str) -> bool:
-    """Flip one byte of a saved snapshot; loading must refuse it."""
-    with open(path, "rb") as fh:
-        blob = bytearray(fh.read())
-    blob[len(blob) // 2] ^= 0x01
-    corrupt_path = path + ".corrupt"
-    with open(corrupt_path, "wb") as fh:
-        fh.write(bytes(blob))
-    try:
-        load_snapshot(corrupt_path, expect_kind=FLEET_SNAPSHOT_KIND)
-    except SnapshotCorruptError:
-        return True
-    finally:
-        os.unlink(corrupt_path)
-    return False
+        return "\n".join(lines + self.verdict_lines())
 
 
 def _build(seed: int, requests: int, devices: int, replication: int) -> FleetRunner:
@@ -146,39 +96,26 @@ def run_fleet_oracle(
     report = FleetOracleReport(
         requests=requests, devices=devices, replication=replication
     )
-    sweep = crash_points(requests, points)
-    with tempfile.TemporaryDirectory(prefix="repro-fleet-oracle-") as tmp:
-        for seed in range(base_seed, base_seed + seeds):
-            golden_fp = _build(seed, requests, devices, replication).run().fingerprint()
-            golden_digest = _digest(golden_fp)
-            for crash_op in sweep:
-                runner = _build(seed, requests, devices, replication)
-                runner.run_until(crash_op)
-                mid_rebuild = runner.rebuild.pending > 0
-                path = os.path.join(tmp, f"seed{seed}-op{crash_op}.snap")
-                save_snapshot(snapshot_fleet_runner(runner), path)
-                del runner  # the hard kill: only the file survives
-                loaded = load_snapshot(path, expect_kind=FLEET_SNAPSHOT_KIND)
-                if not report.corruption_rejected:
-                    report.corruption_rejected = _probe_corruption(path)
-                resumed = restore_fleet_runner(loaded)
-                resumed.run_until(requests)
-                resumed_fp = resumed.finalize().fingerprint()
-                matched = resumed_fp == golden_fp
-                report.points.append(
-                    FleetOraclePoint(
-                        seed=seed,
-                        crash_op=crash_op,
-                        mid_rebuild=mid_rebuild,
-                        matched=matched,
-                        golden_digest=golden_digest,
-                        resumed_digest=_digest(resumed_fp),
-                    )
-                )
-                if progress is not None:
-                    status = "ok" if matched else "MISMATCH"
-                    tag = " mid-rebuild" if mid_rebuild else ""
-                    progress(f"seed={seed} crash_op={crash_op}{tag}: {status}")
+
+    def judged(verdict: FleetOraclePoint) -> None:
+        if progress is not None:
+            status = "ok" if verdict.matched else "MISMATCH"
+            tag = " mid-rebuild" if verdict.mid_rebuild else ""
+            progress(f"seed={verdict.seed} crash_op={verdict.crash_op}{tag}: {status}")
+
+    sweep_crash_points(
+        report,
+        lambda seed: _build(seed, requests, devices, replication),
+        snapshot_fleet_runner,
+        restore_fleet_runner,
+        FLEET_SNAPSHOT_KIND,
+        range(base_seed, base_seed + seeds),
+        requests,
+        crash_points(requests, points),
+        point=FleetOraclePoint,
+        note=lambda runner: runner.rebuild.pending > 0,
+        on_point=judged,
+    )
     return report
 
 

@@ -133,8 +133,8 @@ class PageAllocator:
                 elif cursor < ppb:
                     # the free tail must really be free (cursor is authoritative,
                     # but cheap to sanity-check on the page right at the cursor)
-                    pages = self.chip.pages_of_block(block)
-                    if self.chip.page_state(pages[cursor]) is PageState.FREE:
+                    tail = self.geometry.block_base(block) + cursor * self.geometry.plane_stride
+                    if self.chip.page_state(tail) is PageState.FREE:
                         if ppb - cursor > best_free_tail:
                             best_free_tail = ppb - cursor
                             best_partial = block
@@ -182,8 +182,7 @@ class PageAllocator:
             self._next_page[plane] = 0
         block = self._active_block[plane]
         assert block is not None
-        pages = self.chip.pages_of_block(block)
-        ppa = pages[self._next_page[plane]]
+        ppa = self.geometry.block_base(block) + self._next_page[plane] * self.geometry.plane_stride
         self._next_page[plane] += 1
         if self._next_page[plane] >= self.geometry.pages_per_block:
             self._active_block[plane] = None  # block is full; next alloc opens one

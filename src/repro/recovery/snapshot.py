@@ -63,8 +63,32 @@ def _encode(value: Any, out: List[bytes]) -> None:
     the format. ``bool`` is checked before ``int`` (it is a subclass), and
     floats go through ``repr`` (shortest round-trip text, stable across
     supported CPython versions).
+
+    The exact types that dominate state trees are dispatched first, on
+    ``type(value) is ...``; subclasses and the rarer primitives fall through
+    to the ``isinstance`` chain, which encodes them as before.
     """
-    if value is None:
+    kind = type(value)
+    if kind is int:
+        out.append(b"I%d;" % value)
+    elif kind is tuple or kind is list:
+        out.append((b"U%d[" if kind is tuple else b"L%d[") % len(value))
+        for item in value:
+            if type(item) is int:  # most items are ints: skip the call
+                out.append(b"I%d;" % item)
+            else:
+                _encode(item, out)
+        out.append(b"]")
+    elif kind is bytes:
+        out.append(b"B%d:" % len(value))
+        out.append(value)
+    elif kind is str:
+        data = value.encode("utf-8")
+        out.append(b"S%d:" % len(data))
+        out.append(data)
+    elif kind is dict:
+        _encode_dict(value, out)
+    elif value is None:
         out.append(b"N;")
     elif value is True:
         out.append(b"T;")
@@ -87,23 +111,28 @@ def _encode(value: Any, out: List[bytes]) -> None:
             _encode(item, out)
         out.append(b"]")
     elif isinstance(value, dict):
-        pairs = []
-        for key, val in value.items():
-            key_parts: List[bytes] = []
-            _encode(key, key_parts)
-            val_parts: List[bytes] = []
-            _encode(val, val_parts)
-            pairs.append((b"".join(key_parts), b"".join(val_parts)))
-        pairs.sort()
-        out.append(b"M%d{" % len(pairs))
-        for key_bytes, val_bytes in pairs:
-            out.append(key_bytes)
-            out.append(val_bytes)
-        out.append(b"}")
+        _encode_dict(value, out)
     else:
         raise TypeError(
             f"snapshot state must be primitive; got {type(value).__name__!r}"
         )
+
+
+def _encode_dict(value: Dict[Any, Any], out: List[bytes]) -> None:
+    """Mappings encode as their (key, value) byte pairs in sorted order."""
+    pairs = []
+    for key, val in value.items():
+        key_parts: List[bytes] = []
+        _encode(key, key_parts)
+        val_parts: List[bytes] = []
+        _encode(val, val_parts)
+        pairs.append((b"".join(key_parts), b"".join(val_parts)))
+    pairs.sort()
+    out.append(b"M%d{" % len(pairs))
+    for key_bytes, val_bytes in pairs:
+        out.append(key_bytes)
+        out.append(val_bytes)
+    out.append(b"}")
 
 
 def canonical_fingerprint(value: Any) -> str:

@@ -12,6 +12,7 @@ from repro.flash import (
     PageState,
     PhysicalAddress,
 )
+from repro.faults.chaos import CHAOS_GEOMETRY
 from repro.flash.chip import FlashProgramError
 from repro.flash.ecc import EccConfig, EccUncorrectableError
 from repro.flash.geometry import small_geometry
@@ -69,6 +70,58 @@ class TestGeometry:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             FlashGeometry(channels=0)
+
+
+# an odd shape: no dimension is a power of two or equal to another
+ODD_GEOMETRY = FlashGeometry(
+    channels=3,
+    chips_per_channel=1,
+    dies_per_chip=3,
+    planes_per_die=2,
+    blocks_per_plane=5,
+    pages_per_block=7,
+)
+
+
+class TestAddressShortcuts:
+    """The table-driven lookups pinned to their ``decompose`` definitions."""
+
+    @pytest.mark.parametrize(
+        "geo",
+        [CHAOS_GEOMETRY, small_geometry(), ODD_GEOMETRY],
+        ids=["chaos", "small", "odd"],
+    )
+    def test_every_ppa_matches_decompose(self, geo):
+        chip = FlashChip(geo)
+        expected_pages = {}
+        for ppa in range(geo.total_pages):
+            addr = geo.decompose(ppa)
+            die = (addr.channel * geo.chips_per_channel + addr.chip) * geo.dies_per_chip
+            plane = (die + addr.die) * geo.planes_per_die + addr.plane
+            block = plane * geo.blocks_per_plane + addr.block
+            assert geo.plane_index(ppa) == plane
+            assert geo.block_of(ppa) == block
+            assert geo.page_in_block(ppa) == addr.page
+            expected_pages.setdefault(block, {})[addr.page] = ppa
+        assert len(expected_pages) == geo.total_blocks
+        for block, pages in expected_pages.items():
+            assert chip.pages_of_block(block) == [pages[p] for p in range(geo.pages_per_block)]
+            assert geo.block_base(block) == pages[0]
+
+    @pytest.mark.parametrize("geo", [CHAOS_GEOMETRY, ODD_GEOMETRY], ids=["chaos", "odd"])
+    def test_out_of_range_still_rejected(self, geo):
+        chip = FlashChip(geo)
+        for ppa in (-1, geo.total_pages):
+            for lookup in (geo.plane_index, geo.block_of, geo.page_in_block):
+                with pytest.raises(ValueError):
+                    lookup(ppa)
+        for block in (-1, geo.total_blocks):
+            with pytest.raises(ValueError):
+                geo.block_base(block)
+            with pytest.raises(ValueError):
+                chip.pages_of_block(block)
+        with pytest.raises(ValueError):
+            chip.program(geo.total_pages)
 
 
 class TestChip:

@@ -486,6 +486,7 @@ class TestFleetRecovery:
         )
         assert report.all_passed
         assert report.failed == 0
+        assert report.cutter_diverged == []
         assert report.mid_rebuild_points >= 1  # the interesting cut happened
         assert report.corruption_rejected
 

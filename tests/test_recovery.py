@@ -6,10 +6,12 @@ Hypothesis stateful machine that interleaves I/O, GC pressure, chaos
 faults and snapshot/restore against a reference model.
 """
 
+import collections
 import copy
+import enum
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -41,7 +43,7 @@ from repro.recovery import (
     save_snapshot,
     snapshot_chaos_runner,
 )
-from repro.recovery.snapshot import dict_items, items_dict
+from repro.recovery.snapshot import _encode, dict_items, items_dict
 from repro.recovery.soak import SOAK_KILLED_EXIT, load_results, recovery_csv_rows
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.degrade import DegradationLadder, ServiceMode
@@ -97,6 +99,111 @@ class TestCanonicalFingerprint:
     def test_rejects_non_primitives(self):
         with pytest.raises(TypeError):
             canonical_fingerprint({"bad": object()})
+
+
+def reference_encode(value, out):
+    """The recursive ``isinstance`` encoder the canonical format was defined by."""
+    if value is None:
+        out.append(b"N;")
+    elif value is True:
+        out.append(b"T;")
+    elif value is False:
+        out.append(b"F;")
+    elif isinstance(value, int):
+        out.append(b"I%d;" % value)
+    elif isinstance(value, float):
+        out.append(b"D" + repr(value).encode("ascii") + b";")
+    elif isinstance(value, str):
+        data = value.encode("utf-8")
+        out.append(b"S%d:" % len(data))
+        out.append(data)
+    elif isinstance(value, bytes):
+        out.append(b"B%d:" % len(value))
+        out.append(value)
+    elif isinstance(value, (list, tuple)):
+        out.append(b"L%d[" % len(value) if isinstance(value, list) else b"U%d[" % len(value))
+        for item in value:
+            reference_encode(item, out)
+        out.append(b"]")
+    elif isinstance(value, dict):
+        pairs = []
+        for key, val in value.items():
+            key_parts = []
+            reference_encode(key, key_parts)
+            val_parts = []
+            reference_encode(val, val_parts)
+            pairs.append((b"".join(key_parts), b"".join(val_parts)))
+        pairs.sort()
+        out.append(b"M%d{" % len(pairs))
+        for key_bytes, val_bytes in pairs:
+            out.append(key_bytes)
+            out.append(val_bytes)
+        out.append(b"}")
+    else:
+        raise TypeError(
+            f"snapshot state must be primitive; got {type(value).__name__!r}"
+        )
+
+
+class _Level(enum.IntEnum):  # an int subclass: takes the isinstance path
+    LOW = -1
+    HIGH = 7
+
+
+_Pair = collections.namedtuple("_Pair", "left right")  # a tuple subclass
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.sampled_from(list(_Level)),
+)
+_KEYS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.tuples(st.integers(), st.text(max_size=2)),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.tuples(children, children).map(lambda t: _Pair(*t)),
+        st.dictionaries(_KEYS, children, max_size=5),
+        st.dictionaries(_KEYS, children, max_size=5).map(collections.OrderedDict),
+    ),
+    max_leaves=30,
+)
+
+
+class TestEncoderPin:
+    """The type-dispatched encoder must write the reference encoder's bytes."""
+
+    @given(_TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_reference(self, tree):
+        expected, got = [], []
+        reference_encode(tree, expected)
+        _encode(tree, got)
+        assert b"".join(got) == b"".join(expected)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{1, 2}, [1, (2, {3})], {"k": [object()]}],
+        ids=["set", "set-in-tuple", "object-in-dict"],
+    )
+    def test_non_primitives_fail_at_save(self, tmp_path, bad):
+        # a bare object() is TestSnapshotFile's case
+        with pytest.raises(TypeError):
+            save_snapshot(Snapshot(kind="x", state={"bad": bad}), tmp_path / "t.snap")
+        assert not (tmp_path / "t.snap").exists()
 
 
 class TestSnapshotFile:
@@ -391,9 +498,30 @@ class TestCrashPointOracle:
         assert len({p.seed for p in report.points}) == 3
         assert report.all_passed
         assert report.corruption_rejected
+        assert report.cutter_diverged == []
+        assert "CUTTER" not in report.format()
         assert stats.oracle_points_passed == 27
         assert stats.snapshots_taken == 27
         assert stats.restores == 27
+
+    def test_snapshot_side_effect_fails_the_oracle(self, monkeypatch):
+        """Taking a checkpoint must not change the run it is taken from."""
+        original = ChaosRunner.snapshot_state
+
+        def drawing(self):
+            state = original(self)
+            self.rng.next_float()  # perturbs the live run, not the saved state
+            return state
+
+        monkeypatch.setattr(ChaosRunner, "snapshot_state", drawing)
+        # one cut: the one saved file was taken before the draw, so it still
+        # resumes onto the golden run...
+        report = run_oracle("tpch-q1", 0.5, base_seed=42, seeds=1, points=1, ops=200)
+        assert report.failed == 0 and report.corruption_rejected
+        # ...so only the cutter's own final fingerprint can catch it
+        assert report.cutter_diverged == [42]
+        assert not report.all_passed
+        assert "CUTTER DIVERGED seeds=42" in report.format()
 
     def test_report_requires_points_and_corruption_probe(self):
         from repro.recovery.oracle import OracleReport
