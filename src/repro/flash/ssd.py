@@ -126,7 +126,7 @@ class FlashDevice:
         """Run a windowed closed-loop read storm to completion.
 
         ``window`` reads stay outstanding; every channel completion issues
-        the next page. The whole storm runs through the batched exact
+        the next page. The whole storm runs through the exact storm
         kernel (:mod:`repro.flash.storm`) when the preconditions hold —
         idle device, no functional chip, no armed monitor — and through
         the per-event engine otherwise; both produce bit-identical engine

@@ -1,8 +1,8 @@
-"""Exact batched kernel for windowed page-read storms.
+"""Exact kernel for windowed page-read storms.
 
-The benchmark kernel (and every windowed read workload) drives one closed
-loop: ``window`` reads are outstanding; each channel completion issues the
-next page. Under constant service times this storm has special structure —
+A windowed read storm drives one closed loop: ``window`` reads are
+outstanding; each channel completion issues the next page. Under constant
+service times this storm has special structure —
 
 - every die job takes ``t_RD`` and every channel job takes ``t_xfer``, so
   completion events *within each class* are generated in nondecreasing
@@ -20,22 +20,18 @@ in the same per-resource order; ``x + 0.0`` no-ops are elided, which is
 bitwise neutral for the non-negative accumulators involved). The test
 suite pins this equivalence differentially against the real engine.
 
-When ``REPRO_SPEED=compiled`` and ``tools/build_speed.py`` has produced
-``build/speedc.so``, the same two-FIFO loop runs in C (IEEE-754 doubles,
-same operations in the same order — still bit-identical, still pinned by
-the differential test); otherwise the pure-python loop runs. With
-``REPRO_SPEED=off``, :class:`StormUnsupported` sends callers back to the
-per-event path.
+Its production caller is :func:`repro.platform.schemes.flash_read_throughput`,
+through :meth:`FlashDevice.read_storm`, so every figure sweep runs it. When a
+precondition fails (functional chip attached, engine busy, invariant
+monitor armed), :class:`StormUnsupported` sends the caller to
+:func:`run_read_storm_events`, the per-event reference path.
 """
 
 from __future__ import annotations
 
-import ctypes
 from collections import deque
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-import repro.speed as speed
-from repro.flash.geometry import _np
 from repro.sim.resource import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,13 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class StormUnsupported(RuntimeError):
-    """The exact batched kernel cannot run here; use the event path."""
+    """The exact storm kernel cannot run here; use the event path."""
 
 
 def _check_supported(device: "FlashDevice", window: int) -> None:
     engine = device.engine
-    if not speed.batch_enabled():
-        raise StormUnsupported("REPRO_SPEED=off disables the batched kernels")
     if window < 1:
         raise ValueError("window must be >= 1")
     if device.chip is not None:
@@ -104,17 +98,11 @@ def run_read_storm(device: "FlashDevice", ppas: Sequence[int], window: int = 64)
     die_maxq = [r.max_queue_depth for r in dies]
     chan_maxq = [r.max_queue_depth for r in channels]
 
-    now = _c_kernel(
+    now = _python_kernel(
         n, window, t_rd, t_xfer, die_arr, chan_arr, ndies, nchans, now0,
         die_wait, chan_wait, die_serv, chan_serv,
         die_jobs, chan_jobs, die_maxq, chan_maxq,
     )
-    if now is None:
-        now = _python_kernel(
-            n, window, t_rd, t_xfer, die_arr, chan_arr, ndies, nchans, now0,
-            die_wait, chan_wait, die_serv, chan_serv,
-            die_jobs, chan_jobs, die_maxq, chan_maxq,
-        )
 
     events = 2 * n
     device.engine.absorb(now, events, events)
@@ -280,68 +268,6 @@ def _python_kernel(
                         dhead = dq[0]
             chead = cq[0] if cq else inf
     return now
-
-
-def _c_kernel(
-    n: int,
-    window: int,
-    t_rd: float,
-    t_xfer: float,
-    die_arr: List[int],
-    chan_arr: List[int],
-    ndies: int,
-    nchans: int,
-    now0: float,
-    die_wait: List[float],
-    chan_wait: List[float],
-    die_serv: List[float],
-    chan_serv: List[float],
-    die_jobs: List[int],
-    chan_jobs: List[int],
-    die_maxq: List[int],
-    chan_maxq: List[int],
-) -> "float | None":
-    """Run the same loop in C; returns None when the library is absent."""
-    lib = speed.lib()
-    if lib is None:
-        return None
-    if _np is not None:
-        # bulk int32 conversion; the arrays stay referenced across the call
-        die_np = _np.asarray(die_arr, dtype=_np.int32)
-        chan_np = _np.asarray(chan_arr, dtype=_np.int32)
-        die_c = die_np.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
-        chan_c = chan_np.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
-    else:
-        die_c = (ctypes.c_int32 * n)(*die_arr)
-        chan_c = (ctypes.c_int32 * n)(*chan_arr)
-    dw = (ctypes.c_double * ndies)(*die_wait)
-    cw = (ctypes.c_double * nchans)(*chan_wait)
-    ds = (ctypes.c_double * ndies)(*die_serv)
-    cs = (ctypes.c_double * nchans)(*chan_serv)
-    dj = (ctypes.c_int64 * ndies)(*die_jobs)
-    cj = (ctypes.c_int64 * nchans)(*chan_jobs)
-    dm = (ctypes.c_int64 * ndies)(*die_maxq)
-    cm = (ctypes.c_int64 * nchans)(*chan_maxq)
-    out_now = ctypes.c_double(now0)
-    rc = lib.repro_storm_read(
-        die_c, chan_c,
-        ctypes.c_int64(n), ctypes.c_int32(ndies), ctypes.c_int32(nchans),
-        ctypes.c_int64(window),
-        ctypes.c_double(now0), ctypes.c_double(t_rd), ctypes.c_double(t_xfer),
-        dw, cw, ds, cs, dj, cj, dm, cm,
-        ctypes.byref(out_now),
-    )
-    if rc != 0:
-        return None  # allocation failure inside the kernel: fall back
-    die_wait[:] = list(dw)
-    chan_wait[:] = list(cw)
-    die_serv[:] = list(ds)
-    chan_serv[:] = list(cs)
-    die_jobs[:] = list(dj)
-    chan_jobs[:] = list(cj)
-    die_maxq[:] = list(dm)
-    chan_maxq[:] = list(cm)
-    return out_now.value
 
 
 __all__: Tuple[str, ...] = (

@@ -65,6 +65,8 @@ SPILL_REUSE_PASSES = 10  # hot working data is re-touched many times once spille
 FIRMWARE_RESERVED_BYTES = 256 * MIB  # FTL metadata etc. in plain ISC
 
 _throughput_cache: Dict[Tuple, float] = {}
+# pages per throughput measurement; fixed, so the cache key need not carry it
+_THROUGHPUT_SAMPLE_PAGES = 4096
 
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
@@ -107,13 +109,15 @@ class _BoundedMemo:
 _mee_overhead_memo = _BoundedMemo("platform.mee_overhead")
 
 
-def flash_read_throughput(config: PlatformConfig, sample_pages: int = 4096) -> float:
+def flash_read_throughput(config: PlatformConfig) -> float:
     """Sustained internal read bandwidth, measured on the event simulator.
 
     Reads are issued with a bounded in-flight window (``queue_depth``), the
     way a real controller pipeline does: at low flash latency the channel
     bandwidth bounds throughput, at high latency the window does — which is
-    the crossover Figure 14 sweeps across.
+    the crossover Figure 14 sweeps across. The windowed storm runs through
+    :meth:`FlashDevice.read_storm`, whose exact kernel reproduces the
+    per-event engine bit for bit.
     """
     timing = config.flash_timing
     key = (
@@ -133,21 +137,10 @@ def flash_read_throughput(config: PlatformConfig, sample_pages: int = 4096) -> f
             pages_per_block=64,
         )
         device = FlashDevice(engine, geometry, timing)
-        pages = min(sample_pages, geometry.total_pages)
-        state = {"next": 0}
-
-        def issue_one() -> None:
-            if state["next"] >= pages:
-                return
-            ppa = state["next"]
-            state["next"] += 1
-            device.read(ppa, on_done=issue_one)
-
+        pages = min(_THROUGHPUT_SAMPLE_PAGES, geometry.total_pages)
         window = config.queue_depth_per_channel * config.channels
-        for _ in range(min(window, pages)):
-            issue_one()
-        elapsed = engine.run()
-        _throughput_cache[key] = pages * geometry.page_bytes / elapsed
+        device.read_storm(range(pages), window=window)
+        _throughput_cache[key] = pages * geometry.page_bytes / engine.now
     return _throughput_cache[key]
 
 

@@ -14,25 +14,21 @@ the handle entirely. Cancelled entries are skipped lazily on pop, and the
 heap is compacted whenever cancelled entries outnumber live ones, which
 bounds memory under heavy hedged-read cancellation.
 
-Two further fast paths (the ``repro.speed`` work):
+:class:`Event` handles are slab-recycled: ``cancel(event, recycle=True)``
+donates the handle back to the engine's free list once its heap entry is
+reclaimed, and :meth:`Engine.schedule` reuses pooled handles instead of
+constructing. Timeout-timer-heavy paths (NVMe command aborts, hedged reads)
+stop allocating entirely in steady state.
 
-- :meth:`Engine.schedule_batch` files a same-timestamp event storm through
-  a sorted side lane (one deque append per event) instead of N heap pushes;
-  the run loop merges the lane against the heap by ``(time, seq)``, so
-  firing order is exactly what N individual ``schedule_after`` calls would
-  have produced.
-- :class:`Event` handles are slab-recycled: ``cancel(event, recycle=True)``
-  donates the handle back to the engine's free list once its heap entry is
-  reclaimed, and :meth:`Engine.schedule` reuses pooled handles instead of
-  constructing. Timeout-timer-heavy paths (NVMe command aborts, hedged
-  reads) stop allocating entirely in steady state.
+:meth:`Engine.absorb` lets an exact external kernel (the read-storm kernel
+in :mod:`repro.flash.storm`) report the clock advance and event counts of
+a run it emulated outside the heap.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 # Compact below this queue size is not worth the rebuild.
 _COMPACT_MIN_QUEUE = 64
@@ -41,7 +37,6 @@ _COMPACT_MIN_QUEUE = 64
 _EVENT_POOL_MAX = 256
 
 _Entry = Tuple[float, int, Callable[[], Any], Optional["Event"]]
-_DueEntry = Tuple[float, int, Callable[[], Any]]
 
 
 class Event:
@@ -89,9 +84,6 @@ class Engine:
 
     def __init__(self) -> None:
         self._queue: List[_Entry] = []  # repro: allow[recovery-unserialized-state] -- callbacks are closures; snapshots only happen at quiescent (empty-queue) points, enforced in snapshot_state
-        # the batch lane: (time, seq, callback) entries kept sorted by
-        # (time, seq); the run loop merges it against the heap
-        self._due: Deque[_DueEntry] = deque()  # repro: allow[recovery-unserialized-state] -- same quiescent-point discipline as _queue
         self._now: float = 0.0
         self._seq: int = 0
         self._events_fired: int = 0
@@ -120,7 +112,7 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return len(self._queue) - self._cancelled_pending + len(self._due)
+        return len(self._queue) - self._cancelled_pending
 
     @property
     def queued_entries(self) -> int:
@@ -174,41 +166,6 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, self._seq, callback, None))
 
-    def schedule_batch(self, delay: float, callbacks: Iterable[Callable[[], Any]]) -> int:
-        """Schedule many callbacks at one timestamp with O(1) work each.
-
-        Fire-and-forget like :meth:`schedule_after` (no handles, not
-        cancellable), and fires in exactly the order N individual
-        ``schedule_after`` calls would have: each callback gets its own
-        sequence number, and the run loop merges the batch lane against the
-        heap by ``(time, seq)``. The lane is kept sorted by construction —
-        a batch scheduled *earlier* than the lane's tail falls back to
-        plain heap pushes, which is merely slower, never wrong.
-
-        Returns the number of callbacks scheduled.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
-        due = self._due
-        if due and due[-1][0] > time:
-            # would break the lane's sort order: take the heap path
-            count = 0
-            for callback in callbacks:
-                self._seq += 1
-                heapq.heappush(self._queue, (time, self._seq, callback, None))
-                count += 1
-            return count
-        seq = self._seq
-        append = due.append
-        count = 0
-        for callback in callbacks:
-            seq += 1
-            append((time, seq, callback))
-            count += 1
-        self._seq = seq
-        return count
-
     def schedule_at(
         self,
         time: float,
@@ -247,9 +204,9 @@ class Engine:
             self._free_events.append(event)
 
     def absorb(self, now: float, events: int, seqs: int) -> None:
-        """Account for events executed by an external exact batch kernel.
+        """Account for events executed by an external exact kernel.
 
-        The storm kernels (:mod:`repro.flash.storm`) emulate a run of this
+        The storm kernel (:mod:`repro.flash.storm`) emulates a run of this
         engine outside it — bit-identically — and then report the clock
         advance, the events fired, and the sequence numbers consumed here.
         Only legal at a quiescent point: the kernel's exactness proof
@@ -257,7 +214,7 @@ class Engine:
         """
         if self._running:
             raise RuntimeError("cannot absorb external events during run()")
-        if self._queue or self._due:
+        if self._queue:
             raise RuntimeError("cannot absorb external events with a non-empty queue")
         if now < self._now:
             raise ValueError(f"absorb would move time backwards ({now} < {self._now})")
@@ -294,36 +251,28 @@ class Engine:
     def step(self) -> Optional[Event]:
         """Execute the next live event; return its handle, or None if empty.
 
-        Fast-path entries (from :meth:`schedule_after` and
-        :meth:`schedule_batch`) have no persistent handle; for those a
-        transient, already-fired :class:`Event` is returned so callers
-        still observe time/seq.
+        Fast-path entries (from :meth:`schedule_after`) have no persistent
+        handle; for those a transient, already-fired :class:`Event` is
+        returned so callers still observe time/seq.
         """
         queue = self._queue
-        due = self._due
-        # locate the next live entry (merging the batch lane against the
-        # heap) without executing anything; the single firing — including
-        # the one transient Event construction — happens after the loop
+        # skip cancelled entries without executing anything; the single
+        # firing — including the one transient Event construction — happens
+        # after the loop
         entry: Optional[_Entry] = None
         while queue:
-            head = queue[0]
+            head = heapq.heappop(queue)
             event = head[3]
             if event is not None and event.cancelled:
-                heapq.heappop(queue)
                 self._cancelled_pending -= 1
                 if event.pooled:
                     self._reclaim(event)
                 continue
             entry = head
             break
-        if due and (entry is None or (due[0][0], due[0][1]) < (entry[0], entry[1])):
-            time, seq, callback = due.popleft()
-            event = None
-        elif entry is not None:
-            heapq.heappop(queue)
-            time, seq, callback, event = entry
-        else:
+        if entry is None:
             return None
+        time, seq, callback, event = entry
         if time < self._now:
             raise RuntimeError("event queue corrupted: time went backwards")
         self._now = time
@@ -347,41 +296,18 @@ class Engine:
         # hot globals locally: this loop is the simulator's innermost path
         pop = heapq.heappop
         queue = self._queue
-        due = self._due
         monitor = self.invariant_monitor
         try:
             fired = 0
-            while queue or due:
-                if queue:
-                    head: Optional[_Entry] = queue[0]
-                    event = head[3]
-                    if event is not None and event.cancelled:
-                        pop(queue)
-                        self._cancelled_pending -= 1
-                        if event.pooled:
-                            self._reclaim(event)
-                        continue
-                else:
-                    head = None
-                if due and (head is None or (due[0][0], due[0][1]) < (head[0], head[1])):
-                    # batch lane wins the (time, seq) merge
-                    time = due[0][0]
-                    if until is not None and time > until:
-                        self._now = until
-                        break
-                    if max_events is not None and fired >= max_events:
-                        break
-                    _dt, _ds, callback = due.popleft()
-                    if time < self._now:
-                        raise RuntimeError("event queue corrupted: time went backwards")
-                    self._now = time
-                    self._events_fired += 1
-                    callback()
-                    fired += 1
-                    if monitor is not None:
-                        monitor.after_engine_event(self._now)
+            while queue:
+                head = queue[0]
+                event = head[3]
+                if event is not None and event.cancelled:
+                    pop(queue)
+                    self._cancelled_pending -= 1
+                    if event.pooled:
+                        self._reclaim(event)
                     continue
-                assert head is not None
                 time = head[0]
                 if until is not None and time > until:
                     self._now = until
@@ -409,15 +335,13 @@ class Engine:
     def run_until(self, time: float, max_events: Optional[int] = None) -> float:
         """Run the queue up to (and including) absolute time ``time``.
 
-        The named companion of :meth:`schedule_batch`: drain the storm you
-        just filed, stop at the horizon. Equivalent to ``run(until=time)``.
+        Equivalent to ``run(until=time)``.
         """
         return self.run(until=time, max_events=max_events)
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""
         self._queue.clear()
-        self._due.clear()
         self._now = 0.0
         self._seq = 0
         self._events_fired = 0
@@ -434,10 +358,10 @@ class Engine:
         quiescent-point operation, the same discipline real SSD firmware
         uses for power-loss-protected flush points.
         """
-        if self._queue or self._due:
+        if self._queue:
             raise RuntimeError(
-                f"cannot snapshot an engine with {len(self._queue) + len(self._due)} "
-                "queued events; drain the queue (quiescent point) first"
+                f"cannot snapshot an engine with {len(self._queue)} queued events; "
+                "drain the queue (quiescent point) first"
             )
         return {
             "now": self._now,
@@ -447,7 +371,7 @@ class Engine:
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        if self._queue or self._due:
+        if self._queue:
             raise RuntimeError("cannot restore into an engine with queued events")
         self._now = state["now"]
         self._seq = state["seq"]

@@ -124,6 +124,18 @@ class TestAddressShortcuts:
             chip.program(geo.total_pages)
 
 
+    def test_batch_mapping_matches_scalar_and_checks_range(self):
+        geo = small_geometry(channels=4)
+        ppas = list(range(0, geo.total_pages, 7))
+        assert len(ppas) >= 64
+        channels, dies = geo.channel_and_die_arrays(ppas)
+        assert list(zip(channels, dies)) == [geo.channel_and_die(p) for p in ppas]
+        for bad in (-1, geo.total_pages):
+            batch = ppas[:40] + [bad] + ppas[40:80]
+            with pytest.raises(ValueError):
+                geo.channel_and_die_arrays(batch)
+
+
 class TestChip:
     def make(self, store=False):
         geo = small_geometry(channels=2, chips_per_channel=1, dies_per_chip=1,

@@ -56,6 +56,17 @@ class TestEngine:
         engine.run()
         assert fired == [1, 2]
 
+    def test_run_until_is_run_with_until(self):
+        engine = Engine()
+        fired = []
+        engine.schedule(1.0, lambda: fired.append(1))
+        engine.schedule(10.0, lambda: fired.append(2))
+        engine.run_until(5.0)
+        assert fired == [1]
+        assert engine.now == 5.0
+        engine.run()
+        assert fired == [1, 2]
+
     def test_events_scheduled_during_run_fire(self):
         engine = Engine()
         fired = []

@@ -1,7 +1,7 @@
-"""Tests for the repro.speed fast paths.
+"""Tests for the simulator's fast paths.
 
 Every fast path must be *fingerprint-identical* to the plain code it
-replaces, so most tests here are differential: run the batched/compiled
+replaces, so most tests here are differential: run the fast
 implementation and the reference implementation side by side and require
 exact equality — bitwise for floats, not approximate.
 """
@@ -9,12 +9,11 @@ exact equality — bitwise for floats, not approximate.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import speed
 from repro.cli import main as repro_main
 from repro.core.exceptions import IntegrityError
 from repro.core.integrity import BonsaiMerkleTree
 from repro.core.mee import FunctionalMee
-from repro.crypto.trivium_fast import TriviumFast
+from repro.flash.chip import FlashChip
 from repro.flash.geometry import small_geometry
 from repro.flash.ssd import FlashDevice
 from repro.flash.storm import (
@@ -24,111 +23,14 @@ from repro.flash.storm import (
 )
 from repro.flash.timing import FlashTiming
 from repro.perf.bench import compare_benches, format_compare
+from repro.platform import schemes
+from repro.platform.config import PlatformConfig
+from repro.recovery.monitors import MonitorSuite
 from repro.sim.engine import Engine
 from repro.sim.slab import Slab
 
 KEY = bytes(range(16))
 MAC_KEY = bytes(range(16, 32))
-
-
-@pytest.fixture
-def speed_mode(monkeypatch):
-    """Set REPRO_SPEED for one test and restore the cached default after."""
-
-    def set_mode(value):
-        monkeypatch.setenv("REPRO_SPEED", value)
-        return speed.reload()
-
-    yield set_mode
-    monkeypatch.delenv("REPRO_SPEED", raising=False)
-    speed.reload()
-
-
-class TestSpeedSwitch:
-    def test_default_mode_is_python(self, speed_mode, monkeypatch):
-        monkeypatch.delenv("REPRO_SPEED", raising=False)
-        assert speed.reload() == "python"
-        assert speed.batch_enabled()
-        assert not speed.compiled_requested()
-
-    def test_off_disables_batching(self, speed_mode):
-        assert speed_mode("off") == "off"
-        assert not speed.batch_enabled()
-
-    def test_unknown_value_falls_back_to_default(self, speed_mode):
-        assert speed_mode("turbo-nonsense") == "python"
-
-    def test_lib_refused_outside_compiled_mode(self, speed_mode):
-        speed_mode("python")
-        assert speed.lib() is None
-        assert not speed.compiled_available()
-
-    def test_describe_reports_mode(self, speed_mode):
-        speed_mode("off")
-        info = speed.describe()
-        assert info["mode"] == "off"
-        assert "lib_path" in info
-
-
-class TestEngineBatch:
-    def test_batch_matches_individual_schedules(self):
-        """schedule_batch is order-equivalent to N schedule() calls."""
-        ref, fast = Engine(), Engine()
-        ref_fired, fast_fired = [], []
-        for tag in "abc":
-            ref.schedule(1.0, lambda t=tag: ref_fired.append(t))
-        fast.schedule_batch(1.0, [lambda t=tag: fast_fired.append(t) for tag in "abc"])
-        ref.run()
-        fast.run()
-        assert fast_fired == ref_fired == ["a", "b", "c"]
-        assert fast.now == ref.now
-        assert fast.events_fired == ref.events_fired
-
-    def test_batch_interleaves_with_heap_events(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(2.0, lambda: fired.append("heap2"))
-        engine.schedule_batch(1.0, [lambda: fired.append("b1a"), lambda: fired.append("b1b")])
-        engine.schedule(1.5, lambda: fired.append("heap15"))
-        engine.run()
-        assert fired == ["b1a", "b1b", "heap15", "heap2"]
-
-    def test_out_of_order_batches_fall_back_to_heap(self):
-        engine = Engine()
-        fired = []
-        engine.schedule_batch(5.0, [lambda: fired.append("late")])
-        engine.schedule_batch(1.0, [lambda: fired.append("early")])
-        engine.run()
-        assert fired == ["early", "late"]
-
-    def test_run_until_is_run_with_until(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append(1))
-        engine.schedule(10.0, lambda: fired.append(2))
-        engine.run_until(5.0)
-        assert fired == [1]
-        assert engine.now == 5.0
-        engine.run()
-        assert fired == [1, 2]
-
-    def test_batch_during_run_fires_same_run(self):
-        engine = Engine()
-        fired = []
-
-        def cascade():
-            engine.schedule_batch(1.0, [lambda: fired.append("x"), lambda: fired.append("y")])
-
-        engine.schedule(1.0, cascade)
-        engine.run()
-        assert fired == ["x", "y"]
-        assert engine.now == 2.0
-
-    def test_snapshot_rejects_due_lane_entries(self):
-        engine = Engine()
-        engine.schedule_batch(1.0, [lambda: None])
-        with pytest.raises(RuntimeError):
-            engine.snapshot_state()
 
 
 class TestEventRecycling:
@@ -217,53 +119,46 @@ class TestStormKernel:
     @pytest.mark.parametrize(
         "n,window", [(1, 64), (5, 1), (63, 64), (64, 64), (500, 7), (2000, 64)]
     )
-    def test_python_kernel_bit_identical_to_event_path(self, n, window, speed_mode):
-        speed_mode("python")
+    def test_python_kernel_bit_identical_to_event_path(self, n, window):
         fast, ref, fast_events, ref_events = _storm_pair(n, window)
         assert fast_events == ref_events
         _assert_devices_identical(fast, ref)
 
-    @pytest.mark.parametrize("n,window", [(64, 64), (500, 7), (2000, 64)])
-    def test_compiled_kernel_bit_identical_to_event_path(self, n, window, speed_mode):
-        speed_mode("compiled")
-        if not speed.compiled_available():
-            pytest.skip("compiled speed library not built")
-        fast, ref, fast_events, ref_events = _storm_pair(n, window)
-        assert fast_events == ref_events
-        _assert_devices_identical(fast, ref)
-
-    def test_off_mode_raises_unsupported(self, speed_mode):
-        speed_mode("off")
+    @pytest.mark.parametrize("armed", ["chip", "monitor"])
+    def test_read_storm_falls_back_and_matches_event_path(self, armed):
+        """An unsupported device takes the event path, with identical results."""
         engine = Engine()
-        device = FlashDevice(engine, small_geometry(channels=4), FlashTiming())
+        geometry = small_geometry(channels=4)
+        device = FlashDevice(engine, geometry, FlashTiming())
+        if armed == "chip":
+            device.chip = FlashChip(geometry)
+        else:
+            suite = MonitorSuite()
+            suite.attach_engine(engine)
         with pytest.raises(StormUnsupported):
             run_read_storm(device, [0, 1, 2])
+        ref = FlashDevice(Engine(), small_geometry(channels=4), FlashTiming())
+        events = device.read_storm(range(300), window=16)
+        assert events == run_read_storm_events(ref, range(300), window=16) == 600
+        _assert_devices_identical(device, ref)
+        if armed == "monitor":
+            assert suite.stats.invariant_checks == 600
 
-    def test_read_storm_falls_back_in_off_mode(self, speed_mode):
-        speed_mode("off")
-        engine = Engine()
-        device = FlashDevice(engine, small_geometry(channels=4), FlashTiming())
-        events = device.read_storm(range(10))
-        assert events == engine.events_fired == 20
-
-    def test_busy_device_rejected(self, speed_mode):
-        speed_mode("python")
+    def test_busy_device_rejected(self):
         engine = Engine()
         device = FlashDevice(engine, small_geometry(channels=4), FlashTiming())
         device.read(0)  # leaves work queued on the engine
         with pytest.raises(StormUnsupported):
             run_read_storm(device, [1, 2])
 
-    def test_empty_storm_is_a_noop(self, speed_mode):
-        speed_mode("python")
+    def test_empty_storm_is_a_noop(self):
         engine = Engine()
         device = FlashDevice(engine, small_geometry(channels=4), FlashTiming())
         assert device.read_storm([]) == 0
         assert engine.now == 0.0
 
-    def test_storm_composes_with_later_event_reads(self, speed_mode):
+    def test_storm_composes_with_later_event_reads(self):
         """A storm then normal reads equals all-normal reads, bit for bit."""
-        speed_mode("python")
         fast, ref, _, _ = _storm_pair(100, 64)
         fast.read(3)
         ref.read(3)
@@ -272,17 +167,41 @@ class TestStormKernel:
         _assert_devices_identical(fast, ref)
 
 
-class TestTriviumCompiled:
-    def test_compiled_keystream_matches_pure_python(self, speed_mode):
-        speed_mode("compiled")
-        if not speed.compiled_available():
-            pytest.skip("compiled speed library not built")
-        fast = TriviumFast(KEY[:10], KEY[6:])
-        speed_mode("off")
-        pure = TriviumFast(KEY[:10], KEY[6:])
-        speed_mode("compiled")
-        for nbytes in (1, 7, 64, 333, 1024):
-            assert fast.keystream(nbytes) == pure.keystream(nbytes)
+# every flash configuration the Figure 12/13 and Figure 14 sweeps measure
+_SWEEP_POINTS = {
+    **{f"ch{ch}": PlatformConfig().with_channels(ch) for ch in (4, 8, 16, 32)},
+    **{
+        f"rd{us}us": PlatformConfig().with_flash_read_latency(us * 1e-6)
+        for us in (10, 30, 50, 70, 90, 110)
+    },
+}
+
+
+class TestThroughputPin:
+    """``flash_read_throughput`` on the storm kernel equals the event path."""
+
+    @pytest.mark.parametrize("point", sorted(_SWEEP_POINTS))
+    def test_throughput_bit_equal_to_event_path(self, point, monkeypatch):
+        config = _SWEEP_POINTS[point]
+        kernel_windows = []
+
+        def counted_kernel(device, ppas, window=64):
+            kernel_windows.append(window)
+            return run_read_storm(device, ppas, window)
+
+        monkeypatch.setattr(schemes, "_throughput_cache", {})
+        monkeypatch.setattr("repro.flash.ssd.run_read_storm", counted_kernel)
+        fast = schemes.flash_read_throughput(config)
+        # the kernel ran (no silent fallback) with the configured window
+        assert kernel_windows == [config.queue_depth_per_channel * config.channels]
+
+        monkeypatch.setattr(schemes, "_throughput_cache", {})
+        monkeypatch.setattr(
+            FlashDevice,
+            "read_storm",
+            lambda self, ppas, window=64: run_read_storm_events(self, list(ppas), window),
+        )
+        assert schemes.flash_read_throughput(config) == fast  # bitwise float equality
 
 
 leaf_bytes = st.binary(min_size=1, max_size=12)
@@ -495,19 +414,3 @@ class TestProfilerAllocs:
         rc = repro_main(["profile", "filter", "--scheme", "host", "--top-allocs", "3"])
         assert rc == 0
         assert "allocation sites" in capsys.readouterr().out
-
-
-class TestFingerprintStability:
-    def test_platform_fingerprint_identical_across_modes(self, speed_mode):
-        """The paper pipeline produces the same fingerprint in every mode."""
-        from repro.platform.config import PlatformConfig
-        from repro.platform.schemes import make_platform
-        from repro.workloads import workload_by_name
-
-        profile = workload_by_name("filter").run()
-        fingerprints = {}
-        for mode_name in ("off", "python"):
-            speed_mode(mode_name)
-            result = make_platform("iceclave", PlatformConfig()).run(profile)
-            fingerprints[mode_name] = result.fingerprint()
-        assert fingerprints["off"] == fingerprints["python"]
