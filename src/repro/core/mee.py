@@ -180,6 +180,27 @@ class MemoryEncryptionEngine:
     def _depth(leaves: int) -> int:
         return max(1, math.ceil(math.log(max(2, leaves), TREE_ARITY)))
 
+    def replay_key(self) -> Tuple:
+        """Every constructor-owned input that :meth:`replay` reads.
+
+        Two fresh engines with equal keys produce bit-identical stats from
+        the same events, so a memo of replay results keys on this rather
+        than on the whole config. DRAM and page size enter only through
+        the tree depths (2 GiB and 4 GiB both give depths 7 and 6).
+        """
+        config = self.config
+        return (
+            self.scheme,
+            self.dram_latency,
+            self.mac_compute_time,
+            config.counter_cache_bytes,
+            config.cache_line_bytes,
+            config.aes_delay,
+            config.minor_counter_limit,
+            self.split_tree_depth,
+            self.major_tree_depth,
+        )
+
     # -- counter bookkeeping -------------------------------------------------
 
     def _uses_split_block(self, page: int, readonly: bool) -> bool:

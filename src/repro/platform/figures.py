@@ -11,13 +11,12 @@ import dataclasses
 import statistics
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
+from repro.core.mee import EncryptionScheme
 from repro.cpu.models import CORTEX_A53, CORTEX_A72
 from repro.platform.config import MAPPING_IN_SECURE, PlatformConfig
 from repro.platform.metrics import RunResult
 from repro.platform.multitenant import MultiTenantIceClave
-from repro.platform.schemes import make_platform
-from repro.query.trace import subsample_events
+from repro.platform.schemes import make_platform, replay_mee
 from repro.workloads.base import WorkloadProfile
 
 WORKLOAD_ORDER = [
@@ -181,15 +180,22 @@ def fig18_quad(
 def table6_extra_traffic(
     profiles: Profiles, config: PlatformConfig, sample: int = 60_000
 ) -> Dict[str, Tuple[float, float]]:
-    """Table 6: (encryption, verification) extra-traffic fractions."""
+    """Table 6: (encryption, verification) extra-traffic fractions.
+
+    Traffic is a count of metadata lines, independent of DRAM latency, so
+    this reuses the platform runs' hybrid replays whenever ``sample``
+    equals their ``mee_sample_limit``.
+    """
     out = {}
     for n in _names(profiles):
-        mee = MemoryEncryptionEngine(config=config.iceclave, scheme=EncryptionScheme.HYBRID)
-        mee.replay(subsample_events(profiles[n].trace.events, sample))
-        out[n] = (
-            mee.stats.encryption_extra_traffic(),
-            mee.stats.verification_extra_traffic(),
+        replay = replay_mee(
+            profiles[n].trace.events,
+            sample,
+            config.iceclave,
+            EncryptionScheme.HYBRID,
+            config.isc_core.dram_latency_s,
         )
+        out[n] = (replay.encryption_traffic, replay.verification_traffic)
     return out
 
 

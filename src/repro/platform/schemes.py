@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, namedtuple
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.core.config import MIB
-from repro.core.mee import MemoryEncryptionEngine
+from repro.core.config import MIB, IceClaveConfig
+from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
 from repro.flash.geometry import small_geometry
 from repro.flash.ssd import FlashDevice
 from repro.ftl.mapping_cache import MappingCache
@@ -42,7 +42,7 @@ from repro.platform.config import MAPPING_IN_SECURE, PlatformConfig
 from repro.platform.metrics import RunResult
 from repro.sim.engine import Engine
 from repro.sim.stats import register_memo
-from repro.query.trace import subsample_events
+from repro.query.trace import AccessEvent, subsample_events
 from repro.workloads.base import WorkloadProfile
 
 # Fraction of the dataset each workload actively re-references (hash
@@ -105,8 +105,53 @@ class _BoundedMemo:
 
 
 # MEE replay is the single most expensive piece of an IceClave run, and a
-# figure sweep replays the same trace under the same config many times.
+# figure sweep asks for the same replay under many configs (see replay_mee).
 _mee_overhead_memo = _BoundedMemo("platform.mee_overhead")
+
+
+class MeeReplay(NamedTuple):
+    """What one timing-MEE replay of a sampled trace measures."""
+
+    mean_access_overhead: float
+    encryption_traffic: float
+    verification_traffic: float
+    mean_encryption_latency: float
+    mean_verification_latency: float
+    counter_hit_rate: float
+
+
+def replay_mee(
+    events: List[AccessEvent],
+    sample_limit: int,
+    config: IceClaveConfig,
+    scheme: EncryptionScheme,
+    dram_latency: float,
+) -> MeeReplay:
+    """Replay ~``sample_limit`` of ``events`` through a fresh timing MEE.
+
+    Memoized on the events list (by identity; scaled profiles share it),
+    the sample limit and :meth:`MemoryEncryptionEngine.replay_key`, which
+    holds exactly what the replay reads. Config knobs the replay never
+    reads (lifecycle costs, region sizes, a DRAM capacity with the same
+    tree depths) therefore share one replay.
+    """
+    mee = MemoryEncryptionEngine(config=config, scheme=scheme, dram_latency=dram_latency)
+    key = (id(events), len(events), sample_limit) + mee.replay_key()
+    cached = _mee_overhead_memo.get(key)
+    if cached is not None:
+        return cached
+    mee.replay(subsample_events(events, sample_limit))
+    stats = mee.stats
+    replay = MeeReplay(
+        mean_access_overhead=mee.mean_access_overhead(),
+        encryption_traffic=stats.encryption_extra_traffic(),
+        verification_traffic=stats.verification_extra_traffic(),
+        mean_encryption_latency=stats.mean_encryption_latency(),
+        mean_verification_latency=stats.mean_verification_latency(),
+        counter_hit_rate=mee.cache.hit_rate,
+    )
+    _mee_overhead_memo.put(key, events, replay)
+    return replay
 
 
 def flash_read_throughput(config: PlatformConfig) -> float:
@@ -347,53 +392,34 @@ class IceClavePlatform(IscPlatform):
     def _mee_overhead(self, profile: WorkloadProfile) -> Tuple[float, Dict[str, float]]:
         """Replay the sampled trace; return per-access extra latency + stats.
 
-        Pure in its inputs (the trace events and the MEE-relevant config), so
-        the replay is memoized: scaled profiles share the same events list,
-        and every hashable config knob that feeds the replay is in the key.
+        The replay itself is memoized (:func:`replay_mee`); the exposure
+        and DRAM-latency arithmetic is applied here, on every call.
         """
-        raw_events = profile.trace.events
-        key = (
-            id(raw_events),
-            len(raw_events),
+        dram_latency = self.config.isc_core.dram_latency_s
+        replay = replay_mee(
+            profile.trace.events,
             self.config.mee_sample_limit,
-            self.config.mee_scheme,
             self.config.iceclave,
-            self.config.isc_core.dram_latency_s,
-            self.config.mee_latency_exposure,
+            self.config.mee_scheme,
+            dram_latency,
         )
-        cached = _mee_overhead_memo.get(key)
-        if cached is not None:
-            extra_latency, stats = cached
-            return extra_latency, dict(stats)
-        events = subsample_events(raw_events, self.config.mee_sample_limit)
-        mee = MemoryEncryptionEngine(
-            config=self.config.iceclave,
-            scheme=self.config.mee_scheme,
-            dram_latency=self.config.isc_core.dram_latency_s,
-        )
-        mee.replay(events)
-        extra_traffic = (
-            mee.stats.encryption_extra_traffic() + mee.stats.verification_extra_traffic()
-        )
+        extra_traffic = replay.encryption_traffic + replay.verification_traffic
         # serialized miss paths, the escaped fraction of hit-path latency,
         # and bandwidth pressure from the extra metadata traffic
-        hit_path = (
-            mee.stats.mean_encryption_latency() + mee.stats.mean_verification_latency()
-        )
+        hit_path = replay.mean_encryption_latency + replay.mean_verification_latency
         extra_latency = (
-            mee.mean_access_overhead()
+            replay.mean_access_overhead
             + self.config.mee_latency_exposure * hit_path
-            + extra_traffic * self.config.isc_core.dram_latency_s
+            + extra_traffic * dram_latency
         )
         stats = {
-            "mee_encryption_traffic": mee.stats.encryption_extra_traffic(),
-            "mee_verification_traffic": mee.stats.verification_extra_traffic(),
-            "mee_mean_encryption_latency": mee.stats.mean_encryption_latency(),
-            "mee_mean_verification_latency": mee.stats.mean_verification_latency(),
-            "mee_counter_hit_rate": mee.cache.hit_rate,
+            "mee_encryption_traffic": replay.encryption_traffic,
+            "mee_verification_traffic": replay.verification_traffic,
+            "mee_mean_encryption_latency": replay.mean_encryption_latency,
+            "mee_mean_verification_latency": replay.mean_verification_latency,
+            "mee_counter_hit_rate": replay.counter_hit_rate,
         }
-        _mee_overhead_memo.put(key, raw_events, (extra_latency, stats))
-        return extra_latency, dict(stats)
+        return extra_latency, stats
 
 
 SCHEMES = {

@@ -8,12 +8,15 @@ read()/write() per event. Everything else — speed — is the benchmark
 trajectory's job, not the test suite's.
 """
 
+import dataclasses
+import inspect
 import json
 import struct
 
 import pytest
 
 from repro.cli import main as repro_main
+from repro.core.config import IceClaveConfig
 from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
 from repro.perf.bench import (
     SCHEMA_VERSION,
@@ -242,11 +245,97 @@ class TestMemoRegistry:
 
         config = PlatformConfig()
         profile = workload_by_name("filter").run()
-        make_platform("iceclave", config).run(profile)
+        first = make_platform("iceclave", config).run(profile)
         before = _mee_overhead_memo.cache_info()
         make_platform("iceclave", config).run(profile)
         after = _mee_overhead_memo.cache_info()
         assert after.hits > before.hits
+        # exposure is applied after the replay: a hit, with a new result
+        exposed = dataclasses.replace(config, mee_latency_exposure=1.0)
+        result = make_platform("iceclave", exposed).run(profile)
+        final = _mee_overhead_memo.cache_info()
+        assert final.misses == after.misses
+        assert final.hits > after.hits
+        assert result.stats["mee_extra_latency"] > first.stats["mee_extra_latency"]
+
+
+# -- MEE replay key -----------------------------------------------------------
+
+# the IceClaveConfig fields the replay reads, directly or via the tree depths
+_REPLAY_KEY_FIELDS = {
+    "aes_delay", "counter_cache_bytes", "cache_line_bytes", "minor_counter_bits",
+}
+_TREE_DEPTH_FIELDS = {"dram_bytes", "page_bytes"}
+_ENGINE_ARGS = {"config", "scheme", "dram_latency", "mac_compute_time"}
+
+
+def _perturbed(config: IceClaveConfig, name: str):
+    value = getattr(config, name)
+    if name == "dram_bytes":
+        return value // 2  # Figure 16's 2 GiB point: same tree depths as 4 GiB
+    if isinstance(value, dict):
+        return {"perturbed": True}
+    if isinstance(value, int):
+        return value * 2
+    return value * 3.0
+
+
+def _replay_fingerprint(mee: MemoryEncryptionEngine, events) -> tuple:
+    mee.replay(events)
+    stats = tuple(repr(getattr(mee.stats, f.name)) for f in dataclasses.fields(mee.stats))
+    cache = mee.cache
+    return stats + (
+        cache.hits, cache.misses, cache.dirty_evictions, cache.clean_evictions,
+        repr(mee.mean_access_overhead()),
+    )
+
+
+class TestMeeReplayKey:
+    """``MemoryEncryptionEngine.replay_key`` must hold everything the
+    replay reads: equal keys on the same events give bit-identical stats."""
+
+    @pytest.fixture(scope="class")
+    def events(self):
+        trace = workload_by_name("tpcc").run().trace.events
+        events = subsample_events(trace, 20_000)
+        assert any(is_write for _p, _l, is_write, _r in events)
+        return events
+
+    def test_every_field_and_argument_is_classified(self):
+        names = {f.name for f in dataclasses.fields(IceClaveConfig)}
+        assert _REPLAY_KEY_FIELDS | _TREE_DEPTH_FIELDS <= names
+        params = set(inspect.signature(MemoryEncryptionEngine.__init__).parameters)
+        assert params - {"self"} == _ENGINE_ARGS
+
+    @pytest.mark.parametrize("scheme", [EncryptionScheme.HYBRID, EncryptionScheme.SPLIT_COUNTER])
+    def test_fields_outside_the_key_never_change_the_replay(self, events, scheme):
+        base_config = IceClaveConfig()
+        base = MemoryEncryptionEngine(config=base_config, scheme=scheme)
+        expected = _replay_fingerprint(base, events)
+        for f in dataclasses.fields(IceClaveConfig):
+            if f.name in _REPLAY_KEY_FIELDS:
+                continue
+            config = dataclasses.replace(
+                base_config, **{f.name: _perturbed(base_config, f.name)}
+            )
+            mee = MemoryEncryptionEngine(config=config, scheme=scheme)
+            assert mee.replay_key() == base.replay_key(), f.name
+            assert _replay_fingerprint(mee, events) == expected, f.name
+
+    def test_key_fields_and_arguments_change_the_key(self):
+        base_config = IceClaveConfig()
+        base = MemoryEncryptionEngine(config=base_config).replay_key()
+        for name in sorted(_REPLAY_KEY_FIELDS):
+            config = dataclasses.replace(base_config, **{name: _perturbed(base_config, name)})
+            assert MemoryEncryptionEngine(config=config).replay_key() != base, name
+        small = dataclasses.replace(base_config, dram_bytes=512 << 20)
+        assert MemoryEncryptionEngine(config=small).replay_key() != base
+        for kwargs in (
+            {"scheme": EncryptionScheme.SPLIT_COUNTER},
+            {"dram_latency": 60e-9},
+            {"mac_compute_time": 40e-9},
+        ):
+            assert MemoryEncryptionEngine(**kwargs).replay_key() != base, kwargs
 
 
 # -- profiler -----------------------------------------------------------------

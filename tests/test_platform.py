@@ -1,17 +1,21 @@
 """Tests for the execution schemes and their paper-shape properties."""
 
 import statistics
+from typing import Dict, List
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.mee import EncryptionScheme
 from repro.cpu.models import CORTEX_A53, CORTEX_A72
+from repro.ftl.mapping_cache import MappingCache
 from repro.platform import (
     MultiTenantIceClave,
     PlatformConfig,
     make_platform,
 )
 from repro.platform.config import MAPPING_IN_SECURE
+from repro.platform.figures import WORKLOAD_ORDER
 from repro.platform.schemes import flash_read_throughput
 from repro.workloads import ALL_WORKLOADS, workload_by_name
 
@@ -220,6 +224,65 @@ class TestMultiTenant:
     def test_empty_rejected(self, base_config):
         with pytest.raises(ValueError):
             MultiTenantIceClave(base_config).run([])
+
+
+def interleaved_lru_miss_rates(
+    config: PlatformConfig, profiles: List
+) -> List[float]:
+    """Reference for the closed form: push the tenants' round-robin
+    translation streams through one LRU mapping cache."""
+    cfg = config.iceclave
+    cache = MappingCache(cfg.protected_region_bytes, cfg.page_bytes)
+    spacing = cache.entries_per_page
+    streams = []
+    for idx, profile in enumerate(profiles):
+        scaled = profile.scaled(config.dataset_bytes)
+        pages = max(1, scaled.input_bytes // cfg.page_bytes)
+        tpages = max(1, pages // spacing)
+        streams.append((idx * (1 << 34), tpages))  # disjoint LPA ranges
+    hits: Dict[int, int] = {i: 0 for i in range(len(profiles))}
+    misses: Dict[int, int] = {i: 0 for i in range(len(profiles))}
+    longest = max(tp for _, tp in streams)
+    stride = max(1, longest // 40_000)
+    for step in range(0, longest, stride):
+        for i, (base, tpages) in enumerate(streams):
+            if step >= tpages:
+                continue
+            if cache.access(base + step * spacing):
+                hits[i] += 1
+            else:
+                misses[i] += 1
+    rates = []
+    for i in range(len(profiles)):
+        total = hits[i] + misses[i]
+        rates.append((misses[i] / total) / spacing if total else 0.0)
+    return rates
+
+
+def _shared_rates(config: PlatformConfig, profiles, names) -> List[float]:
+    tenants = [profiles[n] for n in names]
+    closed = MultiTenantIceClave(config)._shared_mapping_cache_miss_rates(tenants)
+    assert closed == interleaved_lru_miss_rates(config, tenants)
+    return closed
+
+
+class TestSharedMappingCacheClosedForm:
+    """The closed-form miss rates equal the interleaved-LRU simulation."""
+
+    def test_fig17_pairs_and_fig18_quad(self, profiles, base_config):
+        groups = [["tpcc", p] for p in WORKLOAD_ORDER if p != "tpcc"]
+        groups.append(["tpcc", "tpch-q1", "filter", "wordcount"])
+        for names in groups:
+            rates = _shared_rates(base_config, profiles, names)
+            assert rates == [1.0 / 512] * len(names)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        names=st.lists(st.sampled_from(WORKLOAD_ORDER), min_size=2, max_size=4),
+        dataset_bytes=st.integers(min_value=1 << 20, max_value=1 << 40),
+    )
+    def test_any_tenant_mix_and_dataset(self, profiles, names, dataset_bytes):
+        _shared_rates(PlatformConfig().with_dataset(dataset_bytes), profiles, names)
 
 
 class TestConfigValidation:
