@@ -163,7 +163,8 @@ class RaceAwaitAtomicityRule(ProjectRule):
     summary = "self attribute read before an `await`, written after it"
     rationale = (
         "The serve front-end is deterministic *because* all shared state "
-        "changes happen atomically between awaits (the single FIFO pump). "
+        "changes happen atomically between awaits (each request is handled "
+        "inline, with no await). "
         "A method that reads `self.x`, awaits, then writes `self.x` has an "
         "interleaving window: another task can run at the await and act on "
         "the stale value. Capture the state into locals and null the "

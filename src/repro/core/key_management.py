@@ -43,8 +43,8 @@ def derive_kek(device_secret: bytes, measurement: bytes, nonce: bytes) -> bytes:
         raise ValueError("device secret must be at least 128 bits")
     if len(nonce) < 8:
         raise ValueError("nonce must be at least 64 bits")
-    prk = hmac.new(device_secret, b"iceclave-kek" + measurement + nonce,
-                   hashlib.blake2b).digest()
+    prk = hmac.digest(device_secret, b"iceclave-kek" + measurement + nonce,
+                      "blake2b")
     return prk[:KEK_BYTES]
 
 
@@ -72,14 +72,14 @@ def wrap_key(kek: bytes, data_key: bytes) -> WrappedKey:
         raise ValueError("data key must be non-empty")
     pad = _stream(kek, len(data_key))
     ciphertext = bytes(a ^ b for a, b in zip(data_key, pad))
-    tag = hmac.new(kek, b"wrap" + ciphertext, hashlib.blake2b).digest()[:WRAP_MAC_BYTES]
+    tag = hmac.digest(kek, b"wrap" + ciphertext, "blake2b")[:WRAP_MAC_BYTES]
     return WrappedKey(ciphertext=ciphertext, tag=tag)
 
 
 def unwrap_key(kek: bytes, wrapped: WrappedKey) -> bytes:
     """TEE side: verify and recover the data key."""
-    expected = hmac.new(kek, b"wrap" + wrapped.ciphertext,
-                        hashlib.blake2b).digest()[:WRAP_MAC_BYTES]
+    expected = hmac.digest(kek, b"wrap" + wrapped.ciphertext,
+                           "blake2b")[:WRAP_MAC_BYTES]
     if not hmac.compare_digest(expected, wrapped.tag):
         raise KeyWrapError("wrapped key failed authentication")
     pad = _stream(kek, len(wrapped.ciphertext))

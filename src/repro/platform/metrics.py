@@ -10,6 +10,7 @@ summaries, which is how the resilience CLI proves determinism.
 from __future__ import annotations
 
 import hashlib
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -140,14 +141,15 @@ class SloTracker:
         self._failures_by_kind: Dict[str, int] = {}
         # window index -> [requests, failures]
         self._windows: Dict[int, List[int]] = {}
-        self._sorted_cache: Dict[str, List[float]] = {}
+        # kind -> the same latencies, kept sorted as they arrive
+        self._sorted: Dict[str, List[float]] = {}
 
     # -- recording ------------------------------------------------------------
 
     def record(self, now: float, kind: str, latency_s: float, ok: bool = True) -> None:
         self.total += 1
         self._by_kind.setdefault(kind, []).append(latency_s)
-        self._sorted_cache.pop(kind, None)
+        insort(self._sorted.setdefault(kind, []), latency_s)
         window = self._windows.setdefault(int(now / self.window_s), [0, 0])
         window[0] += 1
         if not ok:
@@ -164,10 +166,13 @@ class SloTracker:
         return (self.total - self.failures) / self.total
 
     def sorted_latencies(self, kind: str) -> List[float]:
-        """Sorted latencies for ``kind`` (cached; hedge policies poll this)."""
-        if kind not in self._sorted_cache:
-            self._sorted_cache[kind] = sorted(self._by_kind.get(kind, []))
-        return self._sorted_cache[kind]
+        """Sorted latencies for ``kind`` (hedge policies poll this).
+
+        The list is maintained on every :meth:`record`, so reads cost
+        nothing; callers must not mutate it. Ties keep record order, as a
+        stable ``sorted`` would.
+        """
+        return self._sorted.get(kind, [])
 
     def percentile(self, kind: str, pct: float) -> float:
         """Exact percentile of ``kind`` latencies; 0.0 with no samples."""
@@ -211,8 +216,8 @@ class SloTracker:
     def snapshot_state(self) -> Dict[str, object]:
         """Everything recorded so far, as primitives (sorted item lists).
 
-        The sorted-latency cache (``_sorted_cache``) is derived state and is
-        deliberately not captured; restore resets it.
+        The sorted view (``_sorted``) is derived state and is deliberately
+        not captured; restore rebuilds it from the recorded latencies.
         """
         return {
             "total": self.total,
@@ -232,7 +237,7 @@ class SloTracker:
             kind: count for kind, count in state["failures_by_kind"]
         }
         self._windows = {idx: list(pair) for idx, pair in state["windows"]}
-        self._sorted_cache = {}
+        self._sorted = {kind: sorted(vals) for kind, vals in self._by_kind.items()}
 
     # -- reporting ------------------------------------------------------------
 

@@ -216,7 +216,7 @@ class _Arm:
         self.counters: Dict[str, int] = {}
         self.failure_reasons: Dict[str, int] = {}
         self.event_log: List[str] = []
-        self.live_requests: List[_Request] = []
+        self.live_requests: Dict[int, _Request] = {}  # rid -> in flight
         # lpas whose primary (or both) copies the plan poisoned; reads fail,
         # a successful overwrite remaps the data and clears the poison
         self.poisoned_primary: Set[int] = set()
@@ -334,7 +334,7 @@ class _Arm:
                 # page and dropped it; re-reading would re-fail forever
                 self._count("reads_skipped_dead_lpa")
                 return
-            self.live_requests.append(request)
+            self.live_requests[request.rid] = request
             self._issue(request)
         return fire
 
@@ -575,7 +575,7 @@ class _Arm:
         if request.hedge_event is not None:
             self.engine.cancel(request.hedge_event)
             request.hedge_event = None
-        self.live_requests.remove(request)
+        del self.live_requests[request.rid]
 
     def _succeed(self, request: _Request) -> None:
         self._settle(request)
@@ -599,13 +599,13 @@ class _Arm:
         self.engine.run(until=horizon)
         # anything still outstanding is wedged behind a hung die (or past the
         # horizon): account it as failed at the horizon, not ignored
-        for request in sorted(self.live_requests, key=lambda r: r.rid):
+        for _, request in sorted(self.live_requests.items()):
             request.done = True
             self.failure_reasons["unfinished_at_horizon"] = (
                 self.failure_reasons.get("unfinished_at_horizon", 0) + 1
             )
             self.slo.record(horizon, request.opcode, horizon - request.start, ok=False)
-        self.live_requests = []
+        self.live_requests = {}
 
         for channel in self.channels:
             if channel.qp.timeouts:

@@ -26,12 +26,14 @@ equal the planted tampered population exactly.
 
 Determinism: arrivals, tenant mix, fault schedule, channel jitter and the
 session crypto are all pure functions of the seed; the asyncio front-end
-runs a single pump draining a FIFO inbox, so two same-seed campaigns
-produce byte-identical fingerprints — the CLI proves it on every run.
+handles each request inline in submission order, so two same-seed
+campaigns produce byte-identical fingerprints — the CLI proves it on every
+run.
 """
 
 from __future__ import annotations
 
+import asyncio
 import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -151,16 +153,18 @@ class _ChannelState:
     error_credits: int = 0
 
 
-@dataclass(order=True)
+@dataclass
 class _AgendaItem:
-    """One scheduled client action (arrival or retry), heap-ordered."""
+    """One scheduled client action (arrival or retry).
 
-    at_s: float
-    seq: int
-    arrival: Arrival = field(compare=False)
-    op: str = field(compare=False, default="read")
-    attempts: int = field(compare=False, default=0)
-    first_start: float = field(compare=False, default=0.0)
+    The agenda heap holds ``(at_s, seq, item)`` tuples: ``seq`` is unique,
+    so the heap orders on two plain values and never compares items.
+    """
+
+    arrival: Arrival
+    op: str
+    attempts: int
+    first_start: float
 
 
 @dataclass
@@ -442,7 +446,7 @@ class _ServeArm:
     async def _run_async(self) -> None:
         cfg = self.config
         await self.service.start()
-        agenda: List[_AgendaItem] = []
+        agenda: List[Tuple[float, int, _AgendaItem]] = []
         seq = 0
         for index, arrival in enumerate(self.arrivals):
             op = (
@@ -452,15 +456,15 @@ class _ServeArm:
             )
             heapq.heappush(
                 agenda,
-                _AgendaItem(
-                    at_s=arrival.at_s, seq=seq, arrival=arrival, op=op,
-                    attempts=0, first_start=arrival.at_s,
-                ),
+                (arrival.at_s, seq, _AgendaItem(
+                    arrival=arrival, op=op, attempts=0,
+                    first_start=arrival.at_s,
+                )),
             )
             seq += 1
         while agenda:
-            item = heapq.heappop(agenda)
-            self.clock.advance_to(item.at_s)
+            at_s, _, item = heapq.heappop(agenda)
+            self.clock.advance_to(at_s)
             self._apply_due_faults()
             session = self._session_for(item.arrival.tenant_id)
             if session is None:
@@ -487,11 +491,11 @@ class _ServeArm:
                 self._count("client_retries")
                 heapq.heappush(
                     agenda,
-                    _AgendaItem(
-                        at_s=retry_at, seq=seq, arrival=item.arrival,
-                        op=item.op, attempts=item.attempts + 1,
+                    (retry_at, seq, _AgendaItem(
+                        arrival=item.arrival, op=item.op,
+                        attempts=item.attempts + 1,
                         first_start=item.first_start,
-                    ),
+                    )),
                 )
                 seq += 1
                 continue
@@ -512,8 +516,6 @@ class _ServeArm:
 
     def run(self) -> ServeArmReport:
         # a fresh loop per arm keeps the two arms fully isolated
-        import asyncio
-
         asyncio.run(self._run_async())
         if self.ladder is not None:
             self.event_log.extend(self.ladder.transition_log())

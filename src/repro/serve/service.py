@@ -1,11 +1,13 @@
 """The asyncio offload service: sessions in front, policies at the gate.
 
 :class:`OffloadService` is the request/response front-end the serving PRs
-build on. One asyncio pump task drains an inbox queue in FIFO order and
-answers each sealed envelope through a future — genuinely asynchronous at
-the API (``await submit(...)``), yet fully deterministic: time comes from
-an injectable :class:`TickClock` (never the wall clock), and the single
-pump imposes a total order on request handling.
+build on. ``await submit(...)`` answers each sealed envelope inline:
+:meth:`OffloadService.handle` never awaits, so every request runs to
+completion within one event-loop step and the loop itself imposes a total
+order on request handling (submission order). The API is asynchronous,
+yet fully deterministic: time comes from an injectable :class:`TickClock`
+(never the wall clock), and no queue, future or pump task sits between a
+submit and its reply.
 
 Request path, in gate order:
 
@@ -27,7 +29,6 @@ Request path, in gate order:
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Protocol, Sequence, Tuple, Union
 
@@ -154,8 +155,7 @@ class OffloadService:
         self.router = router
         self.counters: Dict[str, int] = {}
         self.in_flight = 0
-        self._inbox: Optional[asyncio.Queue] = None
-        self._pump: Optional[asyncio.Task] = None
+        self._running = False
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -308,41 +308,22 @@ class OffloadService:
     # -- the asyncio surface ---------------------------------------------------
 
     async def start(self) -> None:
-        """Start the pump task on the running loop (idempotent)."""
-        if self._pump is not None:
-            return
-        self._inbox = asyncio.Queue()
-        self._pump = asyncio.get_running_loop().create_task(self._serve())
+        """Open the service for :meth:`submit` (idempotent)."""
+        self._running = True
 
     async def stop(self) -> None:
-        # capture-and-null BEFORE awaiting: a concurrent stop() (or a
-        # submit()) interleaving at the awaits must see the service already
-        # closed, not half-stopped state it could double-drain
-        pump, inbox = self._pump, self._inbox
-        if pump is None or inbox is None:
-            return
-        self._pump = None
-        self._inbox = None
-        await inbox.put(None)
-        await pump
-
-    async def _serve(self) -> None:
-        assert self._inbox is not None
-        while True:
-            item = await self._inbox.get()
-            if item is None:
-                return
-            envelope, future = item
-            if not future.cancelled():
-                future.set_result(self.handle(envelope))
+        """Close the service; later submits raise (idempotent)."""
+        self._running = False
 
     async def submit(self, envelope: SealedEnvelope) -> Served:
-        """Enqueue one envelope and await its response."""
-        if self._inbox is None:
+        """Handle one envelope inline and return its response.
+
+        Nothing here awaits, so requests are handled in the order their
+        ``submit`` coroutines first run — FIFO, like the loop's ready queue.
+        """
+        if not self._running:
             raise RuntimeError("service not started (await service.start())")
-        future = asyncio.get_running_loop().create_future()
-        await self._inbox.put((envelope, future))
-        return await future
+        return self.handle(envelope)
 
 
 __all__ = [

@@ -64,22 +64,31 @@ class SessionError(Exception):
 
 def _keystream(session_key: bytes, session_id: int, channel: bytes,
                seq: int, nbytes: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    prefix = (
+    """``nbytes`` of pad: 32 B blocks of
+    blake2b(key ‖ session id ‖ channel ‖ seq ‖ counter).
+
+    A message of up to one block (a single-LPA request, a reply without
+    payload) costs a single hash.
+    """
+    head = (
         session_key
         + session_id.to_bytes(8, "big")
         + channel
         + seq.to_bytes(8, "big")
     )
-    while len(out) < nbytes:
-        out.extend(
-            hashlib.blake2b(
-                prefix + counter.to_bytes(4, "big"), digest_size=32
-            ).digest()
-        )
-        counter += 1
-    return bytes(out[:nbytes])
+    if nbytes <= 32:
+        return hashlib.blake2b(head + bytes(4), digest_size=32).digest()[:nbytes]
+    blocks = [
+        hashlib.blake2b(head + counter.to_bytes(4, "big"), digest_size=32).digest()
+        for counter in range((nbytes + 31) // 32)
+    ]
+    return b"".join(blocks)[:nbytes]
+
+
+def _xor(data: bytes, pad: bytes) -> bytes:
+    return (int.from_bytes(data, "big") ^ int.from_bytes(pad, "big")).to_bytes(
+        len(data), "big"
+    )
 
 
 class SecureChannel:
@@ -100,7 +109,7 @@ class SecureChannel:
     def seal(self, channel: bytes, seq: int, plaintext: bytes) -> SealedEnvelope:
         pad = _keystream(self._seal_key, self.session_id, channel, seq,
                          len(plaintext))
-        ciphertext = bytes(a ^ b for a, b in zip(plaintext, pad))
+        ciphertext = _xor(plaintext, pad)
         tag = self._mac.digest(
             self.session_id.to_bytes(8, "big"),
             channel,
@@ -134,7 +143,7 @@ class SecureChannel:
             raise SessionError(WireStatus.AUTH_FAILED, "envelope MAC invalid")
         pad = _keystream(self._seal_key, envelope.session_id, channel, seq,
                          len(envelope.ciphertext))
-        return bytes(a ^ b for a, b in zip(envelope.ciphertext, pad))
+        return _xor(envelope.ciphertext, pad)
 
 
 @dataclass

@@ -19,6 +19,7 @@ Error taxonomy (see docs/SERVING.md):
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -44,6 +45,11 @@ class WireStatus(enum.Enum):
     UNDER_REPLICATED = "under_replicated"  # write quorum missed; rebuild pending
     INTERNAL = "internal"  # anything the mapping does not name
 
+
+# encoded status field -> status, for Reply.decode
+_STATUS_BY_VALUE: Dict[bytes, WireStatus] = {
+    status.value.encode("ascii"): status for status in WireStatus
+}
 
 # statuses a client may retry without risking duplicated side effects
 RETRYABLE: frozenset = frozenset(
@@ -125,26 +131,23 @@ def status_for_mode(mode: str) -> WireStatus:
 
 
 def _pack(*fields: bytes) -> bytes:
-    out = bytearray()
-    for f in fields:
-        out.extend(len(f).to_bytes(4, "big"))
-        out.extend(f)
-    return bytes(out)
+    return b"".join([len(f).to_bytes(4, "big") + f for f in fields])
 
 
 def _unpack(blob: bytes, count: int) -> Tuple[bytes, ...]:
     fields = []
     offset = 0
+    size = len(blob)
     for _ in range(count):
-        if offset + 4 > len(blob):
+        if offset + 4 > size:
             raise ValueError("truncated wire message")
         n = int.from_bytes(blob[offset:offset + 4], "big")
         offset += 4
-        if offset + n > len(blob):
+        if offset + n > size:
             raise ValueError("truncated wire message field")
         fields.append(blob[offset:offset + n])
         offset += n
-    if offset != len(blob):
+    if offset != size:
         raise ValueError("trailing bytes after wire message")
     return tuple(fields)
 
@@ -167,7 +170,7 @@ class Request:
             raise ValueError("a request must declare at least one LPA")
 
     def encode(self) -> bytes:
-        lpa_blob = b"".join(lpa.to_bytes(8, "big") for lpa in self.lpas)
+        lpa_blob = b"".join([lpa.to_bytes(8, "big") for lpa in self.lpas])
         return _pack(self.op.encode("ascii"), lpa_blob, self.payload)
 
     @classmethod
@@ -175,10 +178,7 @@ class Request:
         op, lpa_blob, payload = _unpack(blob, 3)
         if len(lpa_blob) % 8:
             raise ValueError("LPA field is not a multiple of 8 bytes")
-        lpas = tuple(
-            int.from_bytes(lpa_blob[i:i + 8], "big")
-            for i in range(0, len(lpa_blob), 8)
-        )
+        lpas = struct.unpack(f">{len(lpa_blob) // 8}Q", lpa_blob)
         return cls(op=op.decode("ascii"), lpas=lpas, payload=payload)
 
 
@@ -210,8 +210,12 @@ class Reply:
     @classmethod
     def decode(cls, blob: bytes) -> "Reply":
         status, retry_after, payload, mode = _unpack(blob, 4)
+        try:
+            wire_status = _STATUS_BY_VALUE[status]
+        except KeyError:
+            raise ValueError(f"unknown wire status {status!r}") from None
         return cls(
-            status=WireStatus(status.decode("ascii")),
+            status=wire_status,
             retry_after_s=float(retry_after.decode("ascii")),
             payload=payload,
             mode=mode.decode("ascii"),

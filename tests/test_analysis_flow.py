@@ -23,8 +23,11 @@ import pytest
 from repro.analysis import ProjectRule, all_rules, analyze_paths
 from repro.analysis.baseline import Baseline
 from repro.analysis.cli import main as lint_main
+from repro.analysis.context import ModuleContext
 from repro.analysis.finding import FindingStatus
 from repro.analysis.flow.graph import build_graph, render_graph
+from repro.analysis.flow.summaries import SECRET_SOURCE_QNAMES
+from repro.analysis.flow.symbols import ProjectIndex
 from repro.analysis.report import render_json, render_sarif
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -202,6 +205,23 @@ class TestGraphExport:
             "repro.core.fixture_flow_caller.report"
         ]
         assert "repro.core.fixture_flow_tcb.stretch" in callers
+
+
+class TestSecretSources:
+    def test_every_secret_source_resolves_to_a_project_function(self):
+        """Renaming a key-minting function must not silently drop it from
+        the secret-escape lint: every listed source is a real function."""
+        src = REPO_ROOT / "src"
+        contexts = [
+            ModuleContext.parse(path, path.relative_to(REPO_ROOT).as_posix())
+            for path in sorted(src.rglob("*.py"))
+        ]
+        index = ProjectIndex.build(contexts)
+        missing = sorted(
+            qname for qname in SECRET_SOURCE_QNAMES
+            if qname not in index.functions
+        )
+        assert missing == []
 
 
 class TestSelfScan:

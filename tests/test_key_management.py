@@ -40,6 +40,30 @@ class TestKekDerivation:
             derive_kek(SECRET, MEASUREMENT, b"tiny")
 
 
+class TestKnownAnswers:
+    """Pinned outputs: any rewrite of the KDF or the wrap must match them."""
+
+    def test_derive_kek(self):
+        assert derive_kek(SECRET, MEASUREMENT, NONCE).hex() == (
+            "3d9c7be23ef1c1ae0c9db95a84365b5a"
+        )
+
+    def test_wrap_and_unwrap(self):
+        kek = derive_kek(SECRET, MEASUREMENT, NONCE)
+        wrapped = wrap_key(kek, b"users-data-key-16")
+        assert wrapped.ciphertext.hex() == "f36a463bc4ddc4f12f5830e5172428e641"
+        assert wrapped.tag.hex() == "89c599ef3a01b449"
+        assert unwrap_key(kek, wrapped) == b"users-data-key-16"
+        # 40 bytes spans two keystream blocks
+        long = wrap_key(kek, bytes(range(40)))
+        assert long.ciphertext.hex() == (
+            "8618214ab3f5a697533017857e500bd867903ecb46401aea338974d34ba58c86"
+            "94f242e42ea8352a"
+        )
+        assert long.tag.hex() == "eedaed6868f66cd2"
+        assert unwrap_key(kek, long) == bytes(range(40))
+
+
 class TestWrapUnwrap:
     def test_roundtrip(self):
         kek = derive_kek(SECRET, MEASUREMENT, NONCE)

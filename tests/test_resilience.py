@@ -13,6 +13,7 @@ The two properties the PR stands on:
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as repro_main
 from repro.host.library import IceClaveLibrary, ServiceDegradedError
@@ -368,6 +369,69 @@ class TestSloTracker:
         assert slo.meets_objectives()
         slo.record(1e-4, "read", 5e-3, ok=False)
         assert not slo.meets_objectives()
+
+
+class TestSloTrackerSortedView:
+    """The incrementally sorted latency view matches a fresh sort."""
+
+    @staticmethod
+    def check(slo, reference):
+        for kind in ("read", "write", "offload"):
+            fresh = sorted(reference.get(kind, []))
+            assert slo.sorted_latencies(kind) == fresh
+            for pct in (0.0, 50.0, 95.0, 99.0, 100.0):
+                expected = (
+                    fresh[min(len(fresh) - 1,
+                              int(round(pct / 100.0 * (len(fresh) - 1))))]
+                    if fresh else 0.0
+                )
+                assert slo.percentile(kind, pct) == expected
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("record"),
+                    st.sampled_from(["read", "write"]),
+                    st.floats(min_value=0.0, max_value=1e-2,
+                              allow_nan=False),
+                    st.booleans(),
+                ),
+                st.tuples(st.just("snapshot")),
+                st.tuples(st.just("restore")),
+                st.tuples(st.just("query"), st.sampled_from(["read", "write"])),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_interleaving(self, steps):
+        slo = SloTracker(window_s=1e-3)
+        reference = {}
+        saved = (slo.snapshot_state(), {})
+        now = 0.0
+        for step in steps:
+            if step[0] == "record":
+                _, kind, latency, ok = step
+                now += 1e-5
+                slo.record(now, kind, latency, ok=ok)
+                reference.setdefault(kind, []).append(latency)
+            elif step[0] == "snapshot":
+                saved = (slo.snapshot_state(),
+                         {k: list(v) for k, v in reference.items()})
+            elif step[0] == "restore":
+                slo.restore_state(saved[0])
+                reference = {k: list(v) for k, v in saved[1].items()}
+            else:
+                slo.sorted_latencies(step[1])
+            self.check(slo, reference)
+
+    def test_snapshot_keeps_record_order(self):
+        slo = SloTracker()
+        for latency in (3e-6, 1e-6, 2e-6):
+            slo.record(0.0, "read", latency)
+        slo.sorted_latencies("read")
+        assert dict(slo.snapshot_state()["by_kind"])["read"] == [3e-6, 1e-6, 2e-6]
 
 
 class TestResilienceLab:

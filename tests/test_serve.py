@@ -2,6 +2,7 @@
 offload service, the open-loop load generator, and the serve lab."""
 
 import asyncio
+import hashlib
 
 import pytest
 
@@ -43,6 +44,7 @@ from repro.serve.lab import GENUINE_BINARY, TROJANED_BINARY, serve_plan_config
 from repro.serve.service import DataPathFault
 from repro.serve.session import (
     CHANNEL_C2S,
+    CHANNEL_S2C,
     SecureChannel,
     try_handshake,
 )
@@ -90,6 +92,37 @@ class TestWire:
                 assert hint > 0.0
             else:
                 assert hint == 0.0
+
+    def test_known_answer_encodings(self):
+        # the canonical bytes the secure channel seals; any codec rewrite
+        # must reproduce them exactly
+        assert Request(
+            op="write", lpas=(3, 17, 2**40 + 1), payload=b"hello"
+        ).encode().hex() == (
+            "00000005777269746500000018000000000000000300000000000000110000"
+            "0100000000010000000568656c6c6f"
+        )
+        assert Request(op="offload", lpas=(0,)).encode().hex() == (
+            "000000076f66666c6f616400000008000000000000000000000000"
+        )
+        assert Reply(
+            status=WireStatus.THROTTLED, retry_after_s=2e-4, payload=b"x",
+            mode="degraded_readonly",
+        ).encode().hex() == (
+            "000000097468726f74746c656400000006302e303030320000000178000000"
+            "1164656772616465645f726561646f6e6c79"
+        )
+        assert Reply(status=WireStatus.OK).encode().hex() == (
+            "000000026f6b00000003302e3000000000000000066e6f726d616c"
+        )
+
+    def test_every_status_decodes(self):
+        for status in WireStatus:
+            reply = Reply(status=status, retry_after_s=retry_after_for(status))
+            assert Reply.decode(reply.encode()) == reply
+        bogus = Reply(status=WireStatus.OK).encode().replace(b"ok", b"no")
+        with pytest.raises(ValueError):
+            Reply.decode(bogus)
 
     def test_nvme_and_mode_mappings(self):
         assert status_for_nvme(NvmeStatus.COMMAND_ABORTED) is WireStatus.TIMEOUT
@@ -140,6 +173,100 @@ class TestSecureChannel:
         with pytest.raises(SessionError) as err:
             channel.open(envelope, b"s2c", 0)
         assert err.value.status is WireStatus.AUTH_FAILED
+
+    def test_tampered_session_id_fails_auth(self):
+        channel = self._channel()
+        envelope = channel.seal(CHANNEL_C2S, 0, b"payload")
+        moved = SealedEnvelope(
+            session_id=envelope.session_id + 1, channel=envelope.channel,
+            seq=envelope.seq, ciphertext=envelope.ciphertext, tag=envelope.tag,
+        )
+        with pytest.raises(SessionError) as err:
+            channel.open(moved, CHANNEL_C2S, 0)
+        assert err.value.status is WireStatus.AUTH_FAILED
+
+    def test_reflected_envelope_with_matching_seq_fails_auth(self):
+        # an s2c reply relabelled as c2s at the cursor the server expects
+        channel = self._channel()
+        reply = channel.seal(CHANNEL_S2C, 0, b"payload")
+        reflected = SealedEnvelope(
+            session_id=reply.session_id, channel=CHANNEL_C2S,
+            seq=reply.seq, ciphertext=reply.ciphertext, tag=reply.tag,
+        )
+        with pytest.raises(SessionError) as err:
+            channel.open(reflected, CHANNEL_C2S, 0)
+        assert err.value.status is WireStatus.AUTH_FAILED
+
+    def test_replayed_envelope_relabelled_fails_auth(self):
+        # a recorded seq-0 envelope re-sent as seq 1 fails the MAC
+        channel = self._channel()
+        envelope = channel.seal(CHANNEL_C2S, 0, b"payload")
+        replayed = SealedEnvelope(
+            session_id=envelope.session_id, channel=envelope.channel,
+            seq=1, ciphertext=envelope.ciphertext, tag=envelope.tag,
+        )
+        with pytest.raises(SessionError) as err:
+            channel.open(replayed, CHANNEL_C2S, 1)
+        assert err.value.status is WireStatus.AUTH_FAILED
+
+    # (channel, plaintext bytes) -> (sha256 of ciphertext, tag): the
+    # keystream block edges (0, 1, 31, 32, 33, 64, 65 B), both directions
+    KNOWN_ANSWERS = {
+        (CHANNEL_C2S, 0): (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "41bba85baf0f668e"),
+        (CHANNEL_C2S, 1): (
+            "bbeebd879e1dff6918546dc0c179fdde505f2a21591c9a9c96e36b054ec5af83",
+            "4eccb3f403ec684e"),
+        (CHANNEL_C2S, 31): (
+            "a8839faf69114b1d5f01bbd9112b88c4dd3bd6393b71f0b416041238fc950691",
+            "85e8f654e2d6cfe6"),
+        (CHANNEL_C2S, 32): (
+            "4fce1338a612c9b98d4fdd113255447eddc9411848aacddb8a3344857e2f8014",
+            "77ecf1c0cf9f9bb3"),
+        (CHANNEL_C2S, 33): (
+            "1a771f8a6bd0e3d14ece3b99378caee06727dc294e771d1c952d378af915df04",
+            "16db4d3e60023e3a"),
+        (CHANNEL_C2S, 64): (
+            "8fee97ac3686df3798a75248952b5c07f373f6ee3ead416e828ed19032f4d4d4",
+            "d25dd0984954bc03"),
+        (CHANNEL_C2S, 65): (
+            "30ab2fac7c50342bbebf45da9a74569db7c1bf270e126faf6df489326c9c646c",
+            "0982bf408c91a623"),
+        (CHANNEL_S2C, 0): (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "d747063b024f9bc0"),
+        (CHANNEL_S2C, 1): (
+            "457e4854863e7efaa03266ad781822ecce69df31a511786118c10771a87e69f2",
+            "8b426feb13c3e686"),
+        (CHANNEL_S2C, 31): (
+            "ceffb5fb4de95697634483995401daa80f5fdb058298791c986ab782ae09637e",
+            "e7f4eee662b480ac"),
+        (CHANNEL_S2C, 32): (
+            "87e71847288da2d21f4b10bb1c052eadc2c5812cec6728b57bb64494b8f03758",
+            "b284276356f9e6ba"),
+        (CHANNEL_S2C, 33): (
+            "bcc7ff94acd1c66d7ec491057d488e6f7b05c4b1504b84726c7d4c0cfc009f7f",
+            "c18caf37f33c2a5c"),
+        (CHANNEL_S2C, 64): (
+            "b2557bc0f14fbc05f963d6e6efa3282623975b74b2c720554a20e188f1f0e4a7",
+            "38c5127e27deb843"),
+        (CHANNEL_S2C, 65): (
+            "4ab82a2c0e7da4d9e64bd0fcb7172f8a9d119f28ffde278beddd8cba2321acda",
+            "ca73309f7214fe26"),
+    }
+
+    @pytest.mark.parametrize("direction,size", sorted(KNOWN_ANSWERS))
+    def test_seal_known_answers(self, direction, size):
+        channel = SecureChannel(
+            session_id=0x0102030405, session_key=bytes(range(16))
+        )
+        plaintext = bytes((i * 37 + 11) & 0xFF for i in range(size))
+        envelope = channel.seal(direction, 7, plaintext)
+        digest, tag = self.KNOWN_ANSWERS[(direction, size)]
+        assert hashlib.sha256(envelope.ciphertext).hexdigest() == digest
+        assert envelope.tag.hex() == tag
+        assert channel.open(envelope, direction, 7) == plaintext
 
     def test_short_key_rejected(self):
         with pytest.raises(ValueError):
@@ -288,6 +415,17 @@ class TestOffloadService:
         envelope = session.seal_request(Request(op="read", lpas=(1,)))
         with pytest.raises(RuntimeError):
             asyncio.run(service.submit(envelope))
+
+    def test_start_then_stop_without_submit(self):
+        # start() then stop() with nothing submitted must not raise
+        service, _ = make_service()
+
+        async def go():
+            await service.start()
+            await service.stop()
+            await service.stop()  # idempotent
+
+        asyncio.run(go())
 
     def test_unauthenticated_envelope_refused_in_plaintext(self):
         service, session = make_service()
